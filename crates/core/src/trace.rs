@@ -13,7 +13,7 @@
 use crate::engine::CompiledFilter;
 use std::time::Instant;
 use wts_features::{FeatureMask, FeatureVector, TraceShape};
-use wts_ir::{form_superblocks, BlockId, Inst, Method, MethodId, Program, ScopeKind};
+use wts_ir::{form_superblocks, BasicBlock, BlockId, Inst, Method, MethodId, Program, ScopeKind};
 use wts_machine::{CostProvider, EstimatorKind, MachineConfig};
 use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
 
@@ -138,31 +138,23 @@ pub fn collect_trace(program: &Program, machine: &MachineConfig) -> Vec<TraceRec
     collect_trace_with(program, machine, &TraceOptions::default())
 }
 
-/// Runs the instrumented scheduling pass with an explicit policy (used by
-/// the scheduler-independence ablation).
-pub fn collect_trace_with_policy(
-    program: &Program,
-    machine: &MachineConfig,
-    policy: SchedulePolicy,
-) -> Vec<TraceRecord> {
-    collect_trace_with(program, machine, &TraceOptions { policy, ..TraceOptions::default() })
-}
-
 /// Runs the instrumented pass under full [`TraceOptions`] control,
 /// building the estimated/measured providers from their configured kinds.
+///
+/// With `options.threads != 1` the program's methods are sharded across
+/// scoped threads. Each method is traced independently and the shards are
+/// reassembled in method order, so the output is *identical* to the
+/// serial path — bit-for-bit under [`TimingMode::Deterministic`], and up
+/// to wall-clock jitter in the `*_ns` channels otherwise.
 pub fn collect_trace_with(program: &Program, machine: &MachineConfig, options: &TraceOptions) -> Vec<TraceRecord> {
-    // The scheduler's own cost model *is* the cheap estimator (§2.2,
-    // footnote 3), so with the default kind the est_* channels can reuse
-    // the cycle counts scheduling already computed instead of running
-    // two more cost-model passes per block.
-    let measured = options.measured.provider(machine);
-    match options.estimated {
-        EstimatorKind::Cheap => collect_with(program, machine, options, EstSource::Scheduler, measured.as_ref()),
-        kind => {
-            let estimated = kind.provider(machine);
-            collect_with(program, machine, options, EstSource::Provider(estimated.as_ref()), measured.as_ref())
-        }
+    let shards = crate::parallel::shard_map(program.methods(), options.threads, |slice| {
+        trace_methods(program.name(), slice, machine, options)
+    });
+    let mut out = Vec::with_capacity(program.block_count());
+    for shard in shards {
+        out.extend(shard);
     }
+    out
 }
 
 /// Traces a single method — the machines×methods sharding unit of the
@@ -178,34 +170,44 @@ pub fn collect_method_trace(
     machine: &MachineConfig,
     options: &TraceOptions,
 ) -> Vec<TraceRecord> {
+    trace_methods(benchmark, std::slice::from_ref(method), machine, options)
+}
+
+/// Traces every scope unit of `methods`, in order, with one scheduler
+/// and one scratch state (the per-shard worker). The scheduler's own
+/// cost model *is* the cheap estimator (§2.2, footnote 3), so with the
+/// default kind the est_* channels reuse the cycle counts scheduling
+/// already computed instead of running two more cost-model passes per
+/// unit.
+fn trace_methods(
+    benchmark: &str,
+    methods: &[Method],
+    machine: &MachineConfig,
+    options: &TraceOptions,
+) -> Vec<TraceRecord> {
     let scheduler = ListScheduler::with_policy(machine, options.policy);
     let mut ctx = SchedCtx::new(machine);
     let measured = options.measured.provider(machine);
+    let provider = match options.estimated {
+        EstimatorKind::Cheap => None,
+        kind => Some(kind.provider(machine)),
+    };
+    let estimated = provider.as_deref().map_or(EstSource::Scheduler, EstSource::Provider);
     let mut out = Vec::new();
-    match options.estimated {
-        EstimatorKind::Cheap => trace_method(
-            benchmark,
-            method,
-            &scheduler,
-            &mut ctx,
-            EstSource::Scheduler,
-            measured.as_ref(),
-            options,
-            &mut out,
-        ),
-        kind => {
-            let estimated = kind.provider(machine);
-            trace_method(
+    for method in methods {
+        for_each_unit(method, options.scope, |unit| {
+            trace_unit(
                 benchmark,
-                method,
+                method.id(),
+                unit,
                 &scheduler,
                 &mut ctx,
-                EstSource::Provider(estimated.as_ref()),
+                estimated,
                 measured.as_ref(),
-                options,
+                options.timing,
                 &mut out,
             );
-        }
+        });
     }
     out
 }
@@ -236,96 +238,20 @@ enum EstSource<'a> {
     Provider(&'a dyn CostProvider),
 }
 
-/// The fully general collector: explicit [`CostProvider`]s for the
-/// estimated and measured channels (`options.estimated` / `.measured`
-/// are ignored on this path).
-///
-/// With `options.threads != 1` the program's methods are sharded across
-/// scoped threads. Each method is traced independently and the shards are
-/// reassembled in method order, so the output is *identical* to the
-/// serial path — bit-for-bit under [`TimingMode::Deterministic`], and up
-/// to wall-clock jitter in the `*_ns` channels otherwise.
-pub fn collect_trace_with_providers(
-    program: &Program,
-    machine: &MachineConfig,
-    options: &TraceOptions,
-    estimated: &dyn CostProvider,
-    measured: &dyn CostProvider,
-) -> Vec<TraceRecord> {
-    collect_with(program, machine, options, EstSource::Provider(estimated), measured)
-}
-
-fn collect_with(
-    program: &Program,
-    machine: &MachineConfig,
-    options: &TraceOptions,
-    estimated: EstSource<'_>,
-    measured: &dyn CostProvider,
-) -> Vec<TraceRecord> {
-    let name = program.name();
-    let shards = crate::parallel::shard_map(program.methods(), options.threads, |slice| {
-        let scheduler = ListScheduler::with_policy(machine, options.policy);
-        let mut ctx = SchedCtx::new(machine);
-        let mut out = Vec::new();
-        for method in slice {
-            trace_method(name, method, &scheduler, &mut ctx, estimated, measured, options, &mut out);
-        }
-        out
-    });
-    let mut out = Vec::with_capacity(program.block_count());
-    for shard in shards {
-        out.extend(shard);
-    }
-    out
-}
-
-/// Traces one method's scope units into `out` (the per-shard worker):
-/// its blocks at block scope, its formed superblock traces otherwise.
-#[allow(clippy::too_many_arguments)]
-fn trace_method<'m>(
-    benchmark: &str,
-    method: &Method,
-    scheduler: &ListScheduler<'m>,
-    ctx: &mut SchedCtx<'m>,
-    estimated: EstSource<'_>,
-    measured: &dyn CostProvider,
-    options: &TraceOptions,
-    out: &mut Vec<TraceRecord>,
-) {
-    match options.scope {
-        ScopeKind::Block => {
-            for block in method.blocks() {
-                let unit = ScopeUnit {
-                    insts: block.insts(),
-                    shape: TraceShape::block(),
-                    block: block.id(),
-                    exec_count: block.exec_count(),
-                };
-                trace_unit(benchmark, method.id(), &unit, scheduler, ctx, estimated, measured, options.timing, out);
-            }
-        }
-        ScopeKind::Superblock(ratio) => {
-            for sb in form_superblocks(method, ratio) {
-                let unit = ScopeUnit {
-                    insts: &sb.insts,
-                    shape: TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32")),
-                    block: BlockId(sb.entry_id()),
-                    exec_count: sb.exec_count,
-                };
-                trace_unit(benchmark, method.id(), &unit, scheduler, ctx, estimated, measured, options.timing, out);
-            }
-        }
-    }
-}
-
-/// One scope unit about to be traced: a block's instructions with the
-/// degenerate shape, or a formed trace's concatenation with its real
-/// shape.
-struct ScopeUnit<'a> {
-    insts: &'a [Inst],
-    shape: TraceShape,
-    block: BlockId,
-    exec_count: u64,
+/// One scope unit of a method: a basic block's instructions with the
+/// degenerate shape, or a formed superblock trace's concatenation with
+/// its real shape. Trace collection, the filtered pass, the JIT and the
+/// serving workers all see a method as a sequence of these.
+#[derive(Debug, Clone, Copy)]
+pub struct ScopeUnit<'a> {
+    /// The unit's instructions, in original order.
+    pub insts: &'a [Inst],
+    /// Trace-shape bookkeeping ([`TraceShape::block`] for a block).
+    pub shape: TraceShape,
+    /// The block (the entry block of a formed trace).
+    pub block: BlockId,
+    /// Profile execution count (the trace weight of a formed trace).
+    pub exec_count: u64,
 }
 
 impl ScopeUnit<'_> {
@@ -333,6 +259,36 @@ impl ScopeUnit<'_> {
     /// speculative dependence graph.
     fn speculative(&self) -> bool {
         self.shape.width > 1
+    }
+}
+
+/// Walks `method`'s scope units in order: every basic block at
+/// [`ScopeKind::Block`], every formed superblock trace at
+/// [`ScopeKind::Superblock`]. The one place the pipeline turns a scope
+/// into units; trace formation is profile bookkeeping the JIT already
+/// does, so callers keep it outside their timed windows.
+pub fn for_each_unit(method: &Method, scope: ScopeKind, mut f: impl FnMut(&ScopeUnit<'_>)) {
+    match scope {
+        ScopeKind::Block => {
+            for block in method.blocks() {
+                f(&ScopeUnit {
+                    insts: block.insts(),
+                    shape: TraceShape::block(),
+                    block: block.id(),
+                    exec_count: block.exec_count(),
+                });
+            }
+        }
+        ScopeKind::Superblock(ratio) => {
+            for sb in form_superblocks(method, ratio) {
+                f(&ScopeUnit {
+                    insts: &sb.insts,
+                    shape: TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32")),
+                    block: BlockId(sb.entry_id()),
+                    exec_count: sb.exec_count,
+                });
+            }
+        }
     }
 }
 
@@ -455,8 +411,8 @@ pub struct FilteredPass {
 }
 
 impl FilteredPass {
-    /// Accumulates a shard's totals.
-    fn merge(&mut self, other: &FilteredPass) {
+    /// Accumulates another shard's totals into these.
+    pub fn merge(&mut self, other: &FilteredPass) {
         self.total_blocks += other.total_blocks;
         self.scheduled_blocks += other.scheduled_blocks;
         self.conditions_evaluated += other.conditions_evaluated;
@@ -523,30 +479,12 @@ pub fn filtered_schedule_pass_with(
     options: &TraceOptions,
 ) -> FilteredPass {
     let shards = crate::parallel::shard_map(program.methods(), options.threads, |slice| {
-        let scheduler = ListScheduler::with_policy(machine, options.policy);
-        let mut ctx = SchedCtx::new(machine);
+        let mut server = UnitServer::new(machine, options.policy);
         let mut totals = FilteredPass::default();
         for method in slice {
-            match options.scope {
-                ScopeKind::Block => {
-                    for block in method.blocks() {
-                        let unit = PassUnit {
-                            insts: block.insts(),
-                            shape: TraceShape::block(),
-                            exec_count: block.exec_count(),
-                        };
-                        filtered_unit(&unit, &scheduler, &mut ctx, filter, policy, &mut totals);
-                    }
-                }
-                ScopeKind::Superblock(ratio) => {
-                    for sb in form_superblocks(method, ratio) {
-                        let shape =
-                            TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32"));
-                        let unit = PassUnit { insts: &sb.insts, shape, exec_count: sb.exec_count };
-                        filtered_unit(&unit, &scheduler, &mut ctx, filter, policy, &mut totals);
-                    }
-                }
-            }
+            for_each_unit(method, options.scope, |unit| {
+                server.filtered_unit(unit.insts, unit.shape, unit.exec_count, filter, policy, &mut totals);
+            });
         }
         totals
     });
@@ -555,13 +493,6 @@ pub fn filtered_schedule_pass_with(
         totals.merge(shard);
     }
     totals
-}
-
-/// One scope unit of the deployed pass, as handed to [`filtered_unit`].
-struct PassUnit<'a> {
-    insts: &'a [Inst],
-    shape: TraceShape,
-    exec_count: u64,
 }
 
 /// What serving one scope unit through [`UnitServer`] produced: the
@@ -580,13 +511,15 @@ pub struct ServedUnit {
     pub cycles_after: u64,
 }
 
-/// The deployed per-unit fast path, packaged for an external serving
-/// loop: one of these per worker thread reuses the scheduler scratch
-/// state across every unit it serves (nothing allocated per unit except
-/// the returned permutation), and the [`FilteredPass`] totals it
-/// accumulates are **bit-identical** to [`filtered_schedule_pass_with`]
-/// over the same units — both run the same timed
-/// extract → score → decide → schedule body.
+/// The deployed per-unit loop: timed demand-masked extraction, the
+/// compiled condition table, the [`DecisionPolicy`](crate::DecisionPolicy)
+/// call and (maybe) list scheduling, then untimed work bookkeeping into
+/// a [`FilteredPass`]. It is the only such loop: [`filtered_schedule_pass_with`]
+/// runs one per shard, the JIT's compile session runs one per shard
+/// through [`compile_block`](UnitServer::compile_block), and a serving
+/// worker runs one per thread through [`serve_unit`](UnitServer::serve_unit).
+/// One of these reuses the scheduler scratch state across every unit it
+/// sees, so nothing is allocated per unit except a served permutation.
 ///
 /// # Examples
 ///
@@ -621,8 +554,8 @@ impl<'m> UnitServer<'m> {
         UnitServer { scheduler: ListScheduler::with_policy(machine, policy), ctx: SchedCtx::new(machine) }
     }
 
-    /// Serves one basic-block unit: runs the deployed fast path,
-    /// accumulates the pass totals, and returns the unit's outcome.
+    /// Serves one basic-block unit: runs the deployed loop, accumulates
+    /// the pass totals, and returns the unit's outcome.
     pub fn serve_block(
         &mut self,
         insts: &[Inst],
@@ -631,32 +564,26 @@ impl<'m> UnitServer<'m> {
         policy: &crate::DecisionPolicy,
         totals: &mut FilteredPass,
     ) -> ServedUnit {
-        let unit = PassUnit { insts, shape: TraceShape::block(), exec_count };
-        self.serve(&unit, filter, policy, totals)
+        let decision = self.filtered_unit(insts, TraceShape::block(), exec_count, filter, policy, totals);
+        self.served(decision)
     }
 
-    /// Serves one formed superblock trace (the speculative scheduler
-    /// handles multi-block units exactly as the filtered pass does).
-    pub fn serve_superblock(
+    /// Serves one scope unit from [`for_each_unit`] (multi-block traces
+    /// go through the speculative scheduler) and returns its outcome.
+    pub fn serve_unit(
         &mut self,
-        sb: &wts_ir::Superblock,
+        unit: &ScopeUnit<'_>,
         filter: &CompiledFilter,
         policy: &crate::DecisionPolicy,
         totals: &mut FilteredPass,
     ) -> ServedUnit {
-        let shape = TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32"));
-        let unit = PassUnit { insts: &sb.insts, shape, exec_count: sb.exec_count };
-        self.serve(&unit, filter, policy, totals)
+        let decision = self.filtered_unit(unit.insts, unit.shape, unit.exec_count, filter, policy, totals);
+        self.served(decision)
     }
 
-    fn serve(
-        &mut self,
-        unit: &PassUnit<'_>,
-        filter: &CompiledFilter,
-        policy: &crate::DecisionPolicy,
-        totals: &mut FilteredPass,
-    ) -> ServedUnit {
-        let decision = filtered_unit(unit, &self.scheduler, &mut self.ctx, filter, policy, totals);
+    /// The served outcome of the unit [`filtered_unit`](UnitServer::filtered_unit)
+    /// just decided.
+    fn served(&self, decision: bool) -> ServedUnit {
         if !decision {
             return ServedUnit::default();
         }
@@ -664,66 +591,82 @@ impl<'m> UnitServer<'m> {
         let order = outcome.order.iter().map(|&i| u32::try_from(i).expect("unit length fits u32")).collect();
         ServedUnit { decision, order, cycles_before: outcome.cycles_before, cycles_after: outcome.cycles_after }
     }
-}
 
-/// One scope unit of the deployed pass: timed extraction + decision +
-/// (maybe) scheduling, then untimed work bookkeeping. Returns the
-/// schedule/skip call (the caller may read the outcome out of `ctx`).
-fn filtered_unit<'m>(
-    unit: &PassUnit<'_>,
-    scheduler: &ListScheduler<'m>,
-    ctx: &mut SchedCtx<'m>,
-    filter: &CompiledFilter,
-    policy: &crate::DecisionPolicy,
-    totals: &mut FilteredPass,
-) -> bool {
-    let insts = unit.insts;
-    let speculative = unit.shape.width > 1;
-    let extraction_work = filter.extraction_work(insts.len() as u64);
-    // Time only what the deployed pass would run: masked extraction,
-    // the condition table, the policy call and the scheduler.
-    let t0 = Instant::now();
-    let features = FeatureVector::from_insts_shaped(insts, unit.shape, filter.demand());
-    let (score, conditions) = filter.score_counted(features.as_slice());
-    let economics = crate::UnitEconomics {
-        insts: insts.len() as u64,
-        exec_count: unit.exec_count,
-        filter_work: conditions,
-        extraction_work,
-    };
-    let decision = policy.decide(score, &economics);
-    if decision {
-        if speculative {
-            scheduler.schedule_superblock_into(insts, &mut ctx.scratch, &mut ctx.outcome);
-        } else {
-            scheduler.schedule_insts_into(insts, &mut ctx.scratch, &mut ctx.outcome);
+    /// Runs the deployed loop on one basic block and, when it is
+    /// selected, reorders the block in place (the JIT's apply step,
+    /// outside the timed window and allocation-free in steady state).
+    /// Returns the schedule/skip call.
+    pub fn compile_block(
+        &mut self,
+        block: &mut BasicBlock,
+        filter: &CompiledFilter,
+        policy: &crate::DecisionPolicy,
+        totals: &mut FilteredPass,
+    ) -> bool {
+        let decision =
+            self.filtered_unit(block.insts(), TraceShape::block(), block.exec_count(), filter, policy, totals);
+        if decision {
+            self.ctx.outcome.apply_in_place(block, &mut self.ctx.scheduled);
         }
-        std::hint::black_box(&ctx.outcome);
-    }
-    totals.pass_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-    // Verify outside the timed window so the feature doesn't skew the
-    // deployment-cost accounting it is checking.
-    #[cfg(all(feature = "verify", debug_assertions))]
-    if decision {
-        let diags = wts_verify::verify_unit(scheduler.machine(), insts, speculative, &ctx.outcome);
-        assert!(
-            diags.is_empty(),
-            "the filtered pass produced an unverifiable schedule:\n{}",
-            wts_verify::render(&diags)
-        );
+        decision
     }
 
-    // Bookkeeping stays outside the timed window; the work proxy reads
-    // the edge count off the graph the scheduler just built.
-    totals.total_blocks += 1;
-    totals.conditions_evaluated += conditions;
-    totals.extraction_work += extraction_work;
-    if decision {
-        totals.scheduled_blocks += 1;
-        totals.sched_work += sched_work_proxy(insts.len(), ctx.scratch.last_edge_count());
+    /// The per-unit body: timed extraction + decision + (maybe)
+    /// scheduling, then untimed work bookkeeping. Returns the
+    /// schedule/skip call; a selected unit's outcome is left in `ctx`.
+    fn filtered_unit(
+        &mut self,
+        insts: &[Inst],
+        shape: TraceShape,
+        exec_count: u64,
+        filter: &CompiledFilter,
+        policy: &crate::DecisionPolicy,
+        totals: &mut FilteredPass,
+    ) -> bool {
+        let ctx = &mut self.ctx;
+        let speculative = shape.width > 1;
+        let extraction_work = filter.extraction_work(insts.len() as u64);
+        // Time only what the deployed pass would run: masked extraction,
+        // the condition table, the policy call and the scheduler.
+        let t0 = Instant::now();
+        let features = FeatureVector::from_insts_shaped(insts, shape, filter.demand());
+        let (score, conditions) = filter.score_counted(features.as_slice());
+        let economics =
+            crate::UnitEconomics { insts: insts.len() as u64, exec_count, filter_work: conditions, extraction_work };
+        let decision = policy.decide(score, &economics);
+        if decision {
+            if speculative {
+                self.scheduler.schedule_superblock_into(insts, &mut ctx.scratch, &mut ctx.outcome);
+            } else {
+                self.scheduler.schedule_insts_into(insts, &mut ctx.scratch, &mut ctx.outcome);
+            }
+            std::hint::black_box(&ctx.outcome);
+        }
+        totals.pass_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+
+        // Verify outside the timed window so the feature doesn't skew the
+        // deployment-cost accounting it is checking.
+        #[cfg(all(feature = "verify", debug_assertions))]
+        if decision {
+            let diags = wts_verify::verify_unit(self.scheduler.machine(), insts, speculative, &ctx.outcome);
+            assert!(
+                diags.is_empty(),
+                "the filtered pass produced an unverifiable schedule:\n{}",
+                wts_verify::render(&diags)
+            );
+        }
+
+        // Bookkeeping stays outside the timed window; the work proxy reads
+        // the edge count off the graph the scheduler just built.
+        totals.total_blocks += 1;
+        totals.conditions_evaluated += conditions;
+        totals.extraction_work += extraction_work;
+        if decision {
+            totals.scheduled_blocks += 1;
+            totals.sched_work += sched_work_proxy(insts.len(), ctx.scratch.last_edge_count());
+        }
+        decision
     }
-    decision
 }
 
 #[cfg(test)]
@@ -1048,9 +991,9 @@ mod tests {
             let direct = filtered_schedule_pass_with(&p, &machine, &compiled, &policy, &sb_opts);
             let mut totals = FilteredPass::default();
             for method in p.methods() {
-                for sb in form_superblocks(method, 70) {
-                    server.serve_superblock(&sb, &compiled, &policy, &mut totals);
-                }
+                for_each_unit(method, ScopeKind::Superblock(70), |unit| {
+                    server.serve_unit(unit, &compiled, &policy, &mut totals);
+                });
             }
             assert_eq!(
                 (totals.total_blocks, totals.scheduled_blocks, totals.extraction_work, totals.sched_work),

@@ -1,59 +1,30 @@
 //! The JIT scheduling pass: features → filter → decision policy →
-//! (maybe) schedule.
+//! (maybe) schedule → apply.
 //!
 //! The filter is lowered once per compile ([`Filter::compile`]) and every
-//! block then runs the deployed fast path: one demand-masked feature
-//! pass over exactly the features the compiled rules read, then the flat
-//! condition table, which now yields a calibrated
-//! [`FilterScore`](wts_core::FilterScore). The schedule/skip call is
-//! made by the session's [`DecisionPolicy`] — under the default
-//! [`HardThreshold`](DecisionPolicy::HardThreshold) it is bit-identical
-//! to the interpreted boolean filter, so the output program is
-//! unchanged; an [`ExpectedBenefit`](DecisionPolicy::ExpectedBenefit)
-//! session weighs each block's calibrated probability and hotness
-//! against the compile spend instead.
+//! block then runs through a [`UnitServer`] — the same per-unit loop as
+//! [`filtered_schedule_pass_with`](wts_core::filtered_schedule_pass_with)
+//! and the `wts-serve` workers: one demand-masked feature pass over
+//! exactly the features the compiled rules read, the flat condition
+//! table (a calibrated [`FilterScore`](wts_core::FilterScore)) and the
+//! session's [`DecisionPolicy`]. A selected block is list scheduled and
+//! reordered in place. Compiles report the same [`FilteredPass`] totals
+//! as the direct pass; `pass_ns` times extraction, decision and
+//! scheduling, while the in-place apply stays outside it. Under the
+//! default [`HardThreshold`](DecisionPolicy::HardThreshold) the schedule
+//! calls are bit-identical to the interpreted boolean filter; an
+//! [`ExpectedBenefit`](DecisionPolicy::ExpectedBenefit) session weighs
+//! each block's calibrated probability and hotness against the compile
+//! spend instead. The session schedules at block scope.
 
 use std::sync::Arc;
-use std::time::Instant;
 use wts_core::{
-    CompiledFilter, DecisionPolicy, Filter, FilterKey, FilterSnapshot, FilterStore, LearnedFilter, UnitEconomics,
+    CompiledFilter, DecisionPolicy, Filter, FilterKey, FilterSnapshot, FilterStore, FilteredPass, LearnedFilter,
+    UnitServer,
 };
-use wts_features::FeatureVector;
 use wts_ir::Program;
 use wts_machine::{CostModel, MachineConfig, PipelineSim};
-use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
-
-/// Timing and counts for one compile of a program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompileStats {
-    /// Blocks seen.
-    pub total_blocks: usize,
-    /// Blocks the filter sent to the scheduler.
-    pub scheduled_blocks: usize,
-    /// Nanoseconds extracting features.
-    pub feature_ns: u64,
-    /// Nanoseconds evaluating the filter.
-    pub filter_ns: u64,
-    /// Nanoseconds scheduling.
-    pub sched_ns: u64,
-}
-
-impl CompileStats {
-    /// Total time attributed to the scheduling pass (the paper charges
-    /// feature and filter time to scheduling, §3.1).
-    pub fn pass_ns(&self) -> u64 {
-        self.feature_ns + self.filter_ns + self.sched_ns
-    }
-
-    /// Accumulates another shard's stats into this one.
-    fn merge(&mut self, other: CompileStats) {
-        self.total_blocks += other.total_blocks;
-        self.scheduled_blocks += other.scheduled_blocks;
-        self.feature_ns += other.feature_ns;
-        self.filter_ns += other.filter_ns;
-        self.sched_ns += other.sched_ns;
-    }
-}
+use wts_sched::SchedulePolicy;
 
 /// A JIT compile session: holds the machine, scheduling policy and a
 /// [`FilterStore`], and compiles programs under a given filter — passed
@@ -115,186 +86,88 @@ impl<'m> CompileSession<'m> {
     /// Publishes (or hot-swaps) `filter` under `key` in the session's
     /// store and returns the new epoch-tagged snapshot. Compiles in
     /// flight against the previous snapshot finish under it; the next
-    /// [`compile_stored`](CompileSession::compile_stored) sees the new
-    /// epoch.
+    /// snapshot loaded from the store carries the new epoch.
     pub fn deploy(&self, key: FilterKey, filter: LearnedFilter) -> Arc<FilterSnapshot> {
         self.store.swap(key, filter)
     }
 
     /// Compiles `program` under `filter`: every block gets features
     /// extracted and the filter consulted; selected blocks are list
-    /// scheduled. Returns the (possibly reordered) program and stats.
-    pub fn compile(&self, program: &Program, filter: &dyn Filter) -> (Program, CompileStats) {
-        self.compile_where(program, filter, |_| true, 1)
+    /// scheduled. Returns the (possibly reordered) program and the pass
+    /// totals.
+    pub fn compile(&self, program: &Program, filter: &dyn Filter) -> (Program, FilteredPass) {
+        self.compile_sharded(program, filter, 1)
     }
 
     /// [`compile`](CompileSession::compile) with the program's methods
     /// sharded across `threads` scoped worker threads (`0` = one per
     /// available core, `1` = serial). Methods are compiled independently
-    /// and reassembled in order, so the output program is identical to
-    /// the serial path; only the wall-clock stats channels vary.
-    pub fn compile_sharded(&self, program: &Program, filter: &dyn Filter, threads: usize) -> (Program, CompileStats) {
-        self.compile_where(program, filter, |_| true, threads)
+    /// and reassembled in order, so the output program and the work
+    /// channels are identical to the serial path; only `pass_ns` varies.
+    pub fn compile_sharded(&self, program: &Program, filter: &dyn Filter, threads: usize) -> (Program, FilteredPass) {
+        self.compile_hot(program, &filter.compile(), 0, threads)
     }
 
     /// The *adaptive-JIT* variant the paper discusses in §3.1: only
     /// methods the profile marks hot (peak block execution count at least
     /// `hot_cutoff`) go through the optimizing path at all; cold methods
     /// are left baseline-compiled (unscheduled, and unfiltered — the
-    /// filter's cost is skipped too).
-    pub fn compile_adaptive(&self, program: &Program, filter: &dyn Filter, hot_cutoff: u64) -> (Program, CompileStats) {
-        self.compile_where(
-            program,
-            filter,
-            |m| m.blocks().iter().map(|b| b.exec_count()).max().unwrap_or(0) >= hot_cutoff,
-            1,
-        )
-    }
-
-    /// Compiles one (cloned) method in place, accumulating stats. The
-    /// scratch state (scheduler buffers, outcome, permute buffer) is
-    /// reused across every block of the shard, so the steady-state pass
-    /// allocates nothing per block.
-    #[allow(clippy::too_many_arguments)]
-    fn compile_method(
-        &self,
-        scheduler: &ListScheduler<'m>,
-        scratch: &mut SchedScratch<'m>,
-        outcome: &mut ScheduleOutcome,
-        permute_buf: &mut Vec<wts_ir::Inst>,
-        method: &mut wts_ir::Method,
-        filter: &CompiledFilter,
-        optimize: bool,
-        stats: &mut CompileStats,
-    ) {
-        for block in method.blocks_mut() {
-            stats.total_blocks += 1;
-            if !optimize {
-                continue;
-            }
-
-            let t0 = Instant::now();
-            let features = FeatureVector::extract_masked(block, filter.demand());
-            stats.feature_ns += t0.elapsed().as_nanos() as u64;
-
-            let t1 = Instant::now();
-            let insts = block.insts().len() as u64;
-            let (score, conditions) = filter.score_counted(features.as_slice());
-            let unit = UnitEconomics {
-                insts,
-                exec_count: block.exec_count(),
-                filter_work: conditions,
-                extraction_work: filter.extraction_work(insts),
-            };
-            let decision = self.decision.decide(score, &unit);
-            stats.filter_ns += t1.elapsed().as_nanos() as u64;
-
-            if decision {
-                let t2 = Instant::now();
-                scheduler.schedule_block_into(block, scratch, outcome);
-                // With the `verify` feature, the schedule is checked by
-                // wts-verify before it is applied (debug builds only).
-                #[cfg(all(feature = "verify", debug_assertions))]
-                {
-                    let diags = wts_verify::verify_unit(self.machine, block.insts(), false, outcome);
-                    assert!(
-                        diags.is_empty(),
-                        "the compile session produced an unverifiable schedule:\n{}",
-                        wts_verify::render(&diags)
-                    );
-                }
-                outcome.apply_in_place(block, permute_buf);
-                stats.sched_ns += t2.elapsed().as_nanos() as u64;
-                stats.scheduled_blocks += 1;
-            }
-        }
-    }
-
-    /// Compiles `program` under the filter deployed at `key` in the
-    /// session's store, returning the program, the stats and the epoch
-    /// of the snapshot the whole compile ran against (one snapshot is
-    /// loaded up front, so a concurrent hot-swap never splits a
-    /// compile across filter versions). Returns `None` when nothing is
-    /// deployed under `key`.
-    pub fn compile_stored(
-        &self,
-        program: &Program,
-        key: &FilterKey,
-        threads: usize,
-    ) -> Option<(Program, CompileStats, u64)> {
-        let snapshot = self.store.get(key)?;
-        let (out, stats) = self.compile_snapshot(program, &snapshot, threads);
-        Some((out, stats, snapshot.epoch()))
+    /// filter's cost is skipped too) and only count towards
+    /// `total_blocks`.
+    pub fn compile_adaptive(&self, program: &Program, filter: &dyn Filter, hot_cutoff: u64) -> (Program, FilteredPass) {
+        self.compile_hot(program, &filter.compile(), hot_cutoff, 1)
     }
 
     /// Compiles `program` under an explicit store snapshot — the
-    /// serving path: the caller pins one epoch for a whole batch and
-    /// reports it alongside the schedules.
+    /// serving path: the caller pins one epoch (`snapshot.epoch()`) for
+    /// a whole batch, so a concurrent hot swap never splits a compile
+    /// across filter versions.
     pub fn compile_snapshot(
         &self,
         program: &Program,
         snapshot: &FilterSnapshot,
         threads: usize,
-    ) -> (Program, CompileStats) {
-        self.compile_engine(program, snapshot.compiled(), |_| true, threads)
+    ) -> (Program, FilteredPass) {
+        self.compile_hot(program, snapshot.compiled(), 0, threads)
     }
 
-    fn compile_where(
-        &self,
-        program: &Program,
-        filter: &dyn Filter,
-        optimize_method: impl Fn(&wts_ir::Method) -> bool + Sync,
-        threads: usize,
-    ) -> (Program, CompileStats) {
-        // Lower the filter once; every shard shares the flat table. The
-        // store path arrives pre-lowered (the snapshot carries its
-        // engine) and joins at `compile_engine`.
-        let engine = filter.compile();
-        self.compile_engine(program, &engine, optimize_method, threads)
-    }
-
-    fn compile_engine(
+    /// The one compile loop: methods shard into contiguous chunks, each
+    /// worker clones its chunk and runs every block of a hot method
+    /// through one [`UnitServer`], and the chunks are reassembled in
+    /// method order, so the result is identical whatever the thread
+    /// count.
+    fn compile_hot(
         &self,
         program: &Program,
         engine: &CompiledFilter,
-        optimize_method: impl Fn(&wts_ir::Method) -> bool + Sync,
+        hot_cutoff: u64,
         threads: usize,
-    ) -> (Program, CompileStats) {
-        // Methods shard into contiguous chunks; each worker clones and
-        // compiles its chunk, and the chunks are reassembled in method
-        // order, so the result is identical whatever the thread count.
+    ) -> (Program, FilteredPass) {
         let shards = wts_core::parallel::shard_map(program.methods(), threads, |slice| {
-            let scheduler = ListScheduler::with_policy(self.machine, self.policy);
-            let mut scratch = SchedScratch::new(self.machine);
-            let mut outcome = ScheduleOutcome::default();
-            let mut permute_buf = Vec::new();
-            let mut stats = CompileStats::default();
+            let mut server = UnitServer::new(self.machine, self.policy);
+            let mut totals = FilteredPass::default();
             let mut compiled = slice.to_vec();
             for method in &mut compiled {
-                let optimize = optimize_method(method);
-                self.compile_method(
-                    &scheduler,
-                    &mut scratch,
-                    &mut outcome,
-                    &mut permute_buf,
-                    method,
-                    engine,
-                    optimize,
-                    &mut stats,
-                );
+                if method.blocks().iter().map(|b| b.exec_count()).max().unwrap_or(0) < hot_cutoff {
+                    totals.total_blocks += method.blocks().len();
+                    continue;
+                }
+                for block in method.blocks_mut() {
+                    server.compile_block(block, engine, &self.decision, &mut totals);
+                }
             }
-            (compiled, stats)
+            (compiled, totals)
         });
 
         let mut out = Program::new(program.name());
-        let mut stats = CompileStats::default();
-        for (compiled, shard_stats) in shards {
+        let mut totals = FilteredPass::default();
+        for (compiled, shard_totals) in shards {
             for method in compiled {
                 out.push_method(method);
             }
-            stats.merge(shard_stats);
+            totals.merge(&shard_totals);
         }
-        (out, stats)
+        (out, totals)
     }
 }
 
@@ -331,7 +204,7 @@ mod tests {
         let (out, stats) = CompileSession::new(&m).compile(p, &NeverSchedule);
         assert_eq!(&out, p);
         assert_eq!(stats.scheduled_blocks, 0);
-        assert_eq!(stats.sched_ns, 0);
+        assert_eq!(stats.sched_work, 0);
         assert_eq!(stats.total_blocks, p.block_count());
     }
 
@@ -360,7 +233,7 @@ mod tests {
         let (_, filtered) = session.compile(p, &SizeThresholdFilter::new(8));
         assert!(filtered.scheduled_blocks < ls.scheduled_blocks);
         assert!(filtered.scheduled_blocks > 0);
-        assert!(filtered.pass_ns() > 0);
+        assert!(filtered.pass_ns > 0);
     }
 
     #[test]
@@ -405,7 +278,7 @@ mod tests {
         let (out, stats) = CompileSession::new(&m).compile_adaptive(p, &AlwaysSchedule, u64::MAX);
         assert_eq!(&out, p);
         assert_eq!(stats.scheduled_blocks, 0);
-        assert_eq!(stats.pass_ns(), 0, "cold methods skip the whole pass");
+        assert_eq!(stats.pass_ns, 0, "cold methods skip the whole pass");
     }
 
     #[test]
@@ -461,17 +334,68 @@ mod tests {
             wts_core::Experiment::new(m.clone()).with_timing(wts_core::TimingMode::Deterministic).run(vec![p.clone()]);
         let filter = wts_core::train_filter(run.all_traces(), &run.train_config(0));
         let key = run.filter_key(0, run.learner());
-        assert!(session.compile_stored(p, &key, 1).is_none(), "nothing deployed yet");
+        assert!(session.store().get(&key).is_none(), "nothing deployed yet");
         session.deploy(key.clone(), filter.clone());
-        let (stored, stored_stats, epoch) = session.compile_stored(p, &key, 1).expect("deployed");
-        assert_eq!(epoch, 1);
+        let snapshot = session.store().get(&key).expect("deployed");
+        assert_eq!(snapshot.epoch(), 1);
+        let (stored, stored_stats) = session.compile_snapshot(p, &snapshot, 1);
         let (direct, direct_stats) = session.compile(p, &filter);
         assert_eq!(stored, direct, "store-deployed compile must match the explicit-filter path");
         assert_eq!(stored_stats.scheduled_blocks, direct_stats.scheduled_blocks);
         // Hot-swapping bumps the epoch the next compile reports.
         session.deploy(key.clone(), filter);
-        let (_, _, epoch2) = session.compile_stored(p, &key, 1).expect("still deployed");
-        assert_eq!(epoch2, 2);
+        assert_eq!(session.store().get(&key).expect("still deployed").epoch(), 2);
+    }
+
+    #[test]
+    fn compile_runs_the_served_unit_loop() {
+        // The JIT is a client of the same per-unit loop as the direct
+        // pass and the serving workers: equal totals on every work
+        // channel, and every block reordered by exactly the permutation
+        // the served path returns for it.
+        let m = machine();
+        let suite = Suite::specjvm98(0.02);
+        let p = suite.benchmarks()[0].program();
+        let run =
+            wts_core::Experiment::new(m.clone()).with_timing(wts_core::TimingMode::Deterministic).run(vec![p.clone()]);
+        let filter = wts_core::train_filter(run.all_traces(), &run.train_config(0));
+        let key = run.filter_key(0, run.learner());
+        let model = wts_core::BenefitModel { saved_per_inst: 0.5, cycles_per_work: 50.0 };
+        for decision in [DecisionPolicy::HardThreshold, DecisionPolicy::ExpectedBenefit(model)] {
+            let session = CompileSession::new(&m).with_decision_policy(decision);
+            let snapshot = session.deploy(key.clone(), filter.clone());
+            for threads in [1, 3] {
+                let (out, jit) = session.compile_snapshot(p, &snapshot, threads);
+                let opts = wts_core::TraceOptions { threads, ..Default::default() };
+                let direct = wts_core::filtered_schedule_pass_with(p, &m, snapshot.compiled(), &decision, &opts);
+                assert_eq!(
+                    (jit.total_blocks, jit.scheduled_blocks, jit.conditions_evaluated),
+                    (direct.total_blocks, direct.scheduled_blocks, direct.conditions_evaluated),
+                    "{decision:?} at {threads} threads"
+                );
+                assert_eq!((jit.extraction_work, jit.sched_work), (direct.extraction_work, direct.sched_work));
+                assert!(jit.scheduled_blocks > 0 && jit.scheduled_blocks < jit.total_blocks);
+
+                let mut server = UnitServer::new(&m, SchedulePolicy::CriticalPath);
+                let mut served_totals = FilteredPass::default();
+                for ((_, before), (_, after)) in p.iter_blocks().zip(out.iter_blocks()) {
+                    let unit = server.serve_block(
+                        before.insts(),
+                        before.exec_count(),
+                        snapshot.compiled(),
+                        &decision,
+                        &mut served_totals,
+                    );
+                    let expected: Vec<_> = if unit.decision {
+                        unit.order.iter().map(|&i| before.insts()[i as usize]).collect()
+                    } else {
+                        before.insts().to_vec()
+                    };
+                    assert_eq!(after.insts(), expected.as_slice(), "block {:?}", before.id());
+                }
+                assert_eq!(served_totals.scheduled_blocks, jit.scheduled_blocks);
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!   reproduction is bit-stable;
 //! * [`Suite::specjvm98`] and [`Suite::fp`] wire up one spec per paper
 //!   benchmark (Tables 2 and 7);
-//! * [`CompileSession`] is the JIT scheduling pass: per block it extracts
-//!   features, consults a [`Filter`](wts_core::Filter), and (maybe)
-//!   schedules, with wall-clock timing of each stage.
+//! * [`CompileSession`] is the JIT scheduling pass: per block it runs
+//!   [`UnitServer`](wts_core::UnitServer) — the same loop as the direct
+//!   filtered pass and the serving workers — to extract features,
+//!   consult a [`Filter`](wts_core::Filter) and (maybe) schedule, then
+//!   applies the schedule in place and reports the
+//!   [`FilteredPass`](wts_core::FilteredPass) totals.
 //!
 //! # Examples
 //!
@@ -40,7 +43,7 @@ mod spec;
 mod suite;
 mod superblock;
 
-pub use compiler::{app_cycles, predicted_cycles, CompileSession, CompileStats};
+pub use compiler::{app_cycles, predicted_cycles, CompileSession};
 pub use rng::Xoshiro256;
 pub use spec::{BenchmarkSpec, OpMix};
 pub use suite::{Benchmark, Suite};

@@ -13,10 +13,12 @@
 //! [`FilterStore`](wts_core::FilterStore) — epoch-tagged, without
 //! pausing serving.
 //!
-//! The serving fast path is [`wts_core::UnitServer`] — the *same*
-//! per-unit body as [`wts_core::filtered_schedule_pass_with`], so a
-//! batch's reported totals are bit-identical (work channels) to running
-//! the pass directly over the same methods. Backpressure is explicit:
+//! Each worker serves through one [`wts_core::UnitServer`] — the one
+//! per-unit deployment loop, shared with
+//! [`wts_core::filtered_schedule_pass_with`] and the JIT compile session
+//! — over the scope units [`wts_core::for_each_unit`] walks out of each
+//! requested method, so a batch's reported totals are bit-identical
+//! (work channels) to running the pass directly over the same methods. Backpressure is explicit:
 //! a bounded job queue, and a [`Response::Busy`] shed frame when it is
 //! full. Shutdown drains: accepted batches are answered and their
 //! observations absorbed before the threads join.
