@@ -11,8 +11,9 @@
 //!   path the CSR graph / scratch-scheduler overhaul targets; the
 //!   per-iteration unit count is printed so `units/sec = count / time`
 //!   reads off the report.
-//! * **serialize/** — trace-file encode/decode throughput, text format
-//!   versus the binary `schedfilter-trace-bin-v1`.
+//! * **serialize/** — trace-file throughput: encode and decode of the
+//!   binary `schedfilter-trace-bin-v1` corpus format, and encode of the
+//!   write-only text rendering `repro dump` prints.
 //!
 //! Per-PR summaries of these numbers are persisted as `BENCH_<n>.json`
 //! at the repo root (see README); run with `CRITERION_SUMMARY_JSON=path`
@@ -20,9 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_core::{
-    collect_trace_with, read_trace, read_trace_binary, write_trace, write_trace_binary, TimingMode, TraceOptions,
-};
+use wts_core::{collect_trace_with, read_trace_binary, write_trace, write_trace_binary, TimingMode, TraceOptions};
 use wts_ir::{Program, ScopeKind};
 
 fn trace_collection(c: &mut Criterion) {
@@ -63,10 +62,6 @@ fn trace_collection(c: &mut Criterion) {
     eprintln!("# trace_collection: {} records per serialize iteration", records.len());
     group.bench_function("serialize/text_write", |b| {
         b.iter(|| write_trace(black_box(&records)).expect("generated names are clean").len());
-    });
-    let text = write_trace(&records).expect("generated names are clean");
-    group.bench_function("serialize/text_read", |b| {
-        b.iter(|| read_trace(black_box(&text)).expect("own output parses").len());
     });
     group.bench_function("serialize/binary_write", |b| {
         b.iter(|| write_trace_binary(black_box(&records)).expect("generated records are finite").len());

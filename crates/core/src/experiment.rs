@@ -62,8 +62,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use wts_ir::{Program, ScopeKind};
-use wts_machine::{EstimatorKind, MachineConfig};
-use wts_ripper::{geometric_mean, ConfusionMatrix, Dataset, RipperConfig};
+use wts_machine::MachineConfig;
+use wts_ripper::{geometric_mean, ConfusionMatrix, Dataset};
 use wts_sched::SchedulePolicy;
 
 /// Name-sorted `(benchmark, filter)` pairs from one LOOCV training run.
@@ -81,12 +81,9 @@ pub type LoocvFilters = Arc<Vec<(String, LearnedFilter)>>;
 pub struct Experiment {
     machine: MachineConfig,
     policy: SchedulePolicy,
-    learner: LearnerKind,
     trace_threads: usize,
     train_threads: usize,
     timing: TimingMode,
-    estimated: EstimatorKind,
-    measured: EstimatorKind,
     scope: ScopeKind,
 }
 
@@ -99,12 +96,9 @@ impl Experiment {
         Experiment {
             machine,
             policy: SchedulePolicy::CriticalPath,
-            learner: LearnerKind::default(),
             trace_threads: 0,
             train_threads: 0,
             timing: TimingMode::WallClock,
-            estimated: EstimatorKind::Cheap,
-            measured: EstimatorKind::Detailed,
             scope: ScopeKind::Block,
         }
     }
@@ -121,21 +115,6 @@ impl Experiment {
     /// Selects the scheduler policy the instrumented pass runs.
     pub fn with_policy(mut self, policy: SchedulePolicy) -> Experiment {
         self.policy = policy;
-        self
-    }
-
-    /// Overrides the RIPPER settings (and selects the RIPPER backend).
-    pub fn with_ripper(mut self, ripper: RipperConfig) -> Experiment {
-        self.learner = LearnerKind::Ripper(ripper);
-        self
-    }
-
-    /// Selects the induction backend the training stage runs (RIPPER by
-    /// default). Per-learner artifacts ([`ExperimentRun::loocv_filters_for`],
-    /// [`MatrixRun::portfolio`](crate::MatrixRun::portfolio)) can query
-    /// other backends on the same run without re-tracing.
-    pub fn with_learner(mut self, learner: LearnerKind) -> Experiment {
-        self.learner = learner;
         self
     }
 
@@ -156,25 +135,10 @@ impl Experiment {
         self
     }
 
-    /// Sets the LOOCV-training worker count alone (no wall-clock channel
-    /// is involved in training, so sharding it is always safe).
-    pub fn with_train_threads(mut self, threads: usize) -> Experiment {
-        self.train_threads = threads;
-        self
-    }
-
     /// Switches the `*_ns` channels to the deterministic work proxies,
     /// making traces byte-identical run to run.
     pub fn with_timing(mut self, timing: TimingMode) -> Experiment {
         self.timing = timing;
-        self
-    }
-
-    /// Selects which provider supplies the estimated (labeling) and
-    /// measured (hardware stand-in) cycle channels.
-    pub fn with_estimators(mut self, estimated: EstimatorKind, measured: EstimatorKind) -> Experiment {
-        self.estimated = estimated;
-        self.measured = measured;
         self
     }
 
@@ -212,9 +176,8 @@ impl Experiment {
             policy: self.policy,
             threads: self.trace_threads,
             timing: self.timing,
-            estimated: self.estimated,
-            measured: self.measured,
             scope: self.scope,
+            ..TraceOptions::default()
         }
     }
 
@@ -234,11 +197,10 @@ impl Experiment {
 
     /// Rebuilds an [`ExperimentRun`] from a serialized trace corpus
     /// instead of re-tracing — the "ship training sets to end users"
-    /// workflow of footnote 4. The bytes can be either trace encoding
-    /// ([`read_trace_auto`](crate::read_trace_auto) dispatches on the
-    /// magic); records regroup onto `programs` by benchmark name, in
-    /// program order, exactly undoing
-    /// [`ExperimentRun::serialize_traces`].
+    /// workflow of footnote 4. The bytes are a `schedfilter-trace-bin-v1`
+    /// corpus ([`read_trace_binary`](crate::read_trace_binary)); records
+    /// regroup onto `programs` by benchmark name, in program order,
+    /// exactly undoing [`ExperimentRun::serialize_traces`].
     ///
     /// # Errors
     ///
@@ -247,7 +209,7 @@ impl Experiment {
     /// `programs` (an unknown benchmark, or records out of program
     /// order).
     pub fn run_from_serialized(&self, programs: Vec<Program>, bytes: &[u8]) -> Result<ExperimentRun, CorpusError> {
-        let records = crate::read_trace_auto(bytes).map_err(CorpusError::Read)?;
+        let records = crate::read_trace_binary(bytes).map_err(CorpusError::Read)?;
         let mut traces: Vec<Vec<TraceRecord>> = programs.iter().map(|_| Vec::new()).collect();
         let mut it = records.into_iter().peekable();
         for (slot, program) in traces.iter_mut().zip(&programs) {
@@ -293,7 +255,7 @@ impl Experiment {
         let names: Vec<String> = programs.iter().map(|p| p.name().to_string()).collect();
         let all_traces: Vec<TraceRecord> = traces.iter().flat_map(|t| t.iter().cloned()).collect();
         ExperimentRun {
-            learner: self.learner.clone(),
+            learner: LearnerKind::default(),
             scope: self.scope,
             threads: self.train_threads,
             machine_name: self.machine.name().to_string(),
@@ -310,8 +272,8 @@ impl Experiment {
 /// ([`Experiment::run_from_serialized`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CorpusError {
-    /// The bytes failed to parse in either trace encoding.
-    Read(crate::TraceReadError),
+    /// The bytes are not a valid `schedfilter-trace-bin-v1` corpus.
+    Read(crate::BinaryTraceError),
     /// The parsed records do not line up with the supplied programs.
     Mismatch {
         /// Benchmark name of the first record that failed to place.
@@ -407,12 +369,13 @@ impl ExperimentRun {
     }
 
     /// The train config this run uses at threshold `t`, with the run's
-    /// configured backend and scope.
+    /// backend (RIPPER, [`LearnerKind::default`]) and scope.
     pub fn train_config(&self, t: u32) -> TrainConfig {
         TrainConfig { label: LabelConfig::new(t), learner: self.learner.clone(), scope: self.scope }
     }
 
-    /// The run's configured induction backend.
+    /// The run's induction backend: always RIPPER ([`LearnerKind::default`]);
+    /// other backends go through the `_for` variants.
     pub fn learner(&self) -> &LearnerKind {
         &self.learner
     }
@@ -429,7 +392,7 @@ impl ExperimentRun {
     }
 
     /// Stage 3 (evaluation protocol): leave-one-benchmark-out filters at
-    /// threshold `t` under the run's configured backend, cached across
+    /// threshold `t` under the run's backend, cached across
     /// artifacts, trained with folds sharded across the configured
     /// worker threads.
     pub fn loocv_filters(&self, t: u32) -> LoocvFilters {
@@ -462,7 +425,7 @@ impl ExperimentRun {
     }
 
     /// Stage 3 ("at the factory", §3): one filter trained on the whole
-    /// corpus at threshold `t` under the run's configured backend,
+    /// corpus at threshold `t` under the run's backend,
     /// published in the run's [`FilterStore`] (the cross-machine
     /// transfer table queries it repeatedly; a retrainer may later
     /// [`swap`](FilterStore::swap) the same slot).
@@ -762,10 +725,6 @@ mod tests {
         assert_eq!(reloaded.traces(), original.traces(), "per-benchmark grouping survives");
         // Downstream stages agree: same filters without re-tracing.
         assert_eq!(*reloaded.loocv_filters(10), *original.loocv_filters(10));
-        // The text encoding loads through the same entry point.
-        let text = crate::write_trace(original.all_traces()).unwrap();
-        let from_text = exp.run_from_serialized(suite(), text.as_bytes()).expect("text corpus reloads");
-        assert_eq!(from_text.all_traces(), original.all_traces());
     }
 
     #[test]
@@ -791,7 +750,22 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("garbage must be rejected"),
         };
-        assert!(matches!(err, CorpusError::Read(crate::TraceReadError::UnknownFormat)), "got {err:?}");
+        assert_eq!(err, CorpusError::Read(crate::BinaryTraceError::BadMagic));
+    }
+
+    /// A `schedfilter-trace-v2` text corpus — what `write_trace` and
+    /// `repro dump` emit — is not a corpus anything reads back: handed
+    /// to the loader it fails on the binary magic by name, with no
+    /// records and no panic.
+    #[test]
+    fn text_corpus_is_rejected_with_bad_magic() {
+        let exp = Experiment::new(MachineConfig::ppc7410()).with_timing(TimingMode::Deterministic);
+        let text = crate::write_trace(exp.run(suite()).all_traces()).expect("generated corpus is clean");
+        assert!(text.starts_with("schedfilter-trace-v2\t"));
+        match exp.run_from_serialized(suite(), text.as_bytes()) {
+            Err(err) => assert_eq!(err, CorpusError::Read(crate::BinaryTraceError::BadMagic)),
+            Ok(_) => panic!("a text corpus must not load"),
+        }
     }
 
     #[test]

@@ -82,10 +82,7 @@ pub use eval::{
 };
 pub use experiment::{CorpusError, Experiment, ExperimentRun, LoocvFilters};
 pub use filter::{AlwaysSchedule, Filter, LearnedFilter, NeverSchedule, SizeThresholdFilter};
-pub use io::{
-    read_trace, read_trace_auto, read_trace_binary, write_trace, write_trace_binary, BinCursor, BinaryTraceError,
-    ParseTraceError, TraceReadError, TraceWriteError,
-};
+pub use io::{read_trace_binary, write_trace, write_trace_binary, BinCursor, BinaryTraceError, TraceWriteError};
 pub use label::{build_dataset, LabelConfig};
 pub use learner::{Learner, LearnerKind};
 pub use matrix::{CalibrationRow, ExperimentMatrix, MachinePortfolio, MatrixRun, PortfolioEntry};

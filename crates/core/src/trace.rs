@@ -67,14 +67,6 @@ impl TraceRecord {
         }
         (self.est_unsched as f64 - self.est_sched as f64) / self.est_unsched as f64
     }
-
-    /// Measured improvement fraction under the detailed model.
-    pub fn hw_improvement(&self) -> f64 {
-        if self.hw_unsched == 0 {
-            return 0.0;
-        }
-        (self.hw_unsched as f64 - self.hw_sched as f64) / self.hw_unsched as f64
-    }
 }
 
 /// How the per-block `*_ns` channels are filled in.

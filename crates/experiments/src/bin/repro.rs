@@ -5,26 +5,29 @@
 //!
 //! ARTIFACTs: table1 table2 table3 table4 table5 table6 table7
 //!            fig1 fig2 fig3 fig4
-//!            calibrate learners machines policies factory serve
+//!            calibrate learners machines policies factory serve dump
 //!            superblocks superblock adaptive selftrain matrix portfolio
 //!            verify lint
-//!            all          (default: everything above)
+//!            all          (default: everything above but factory, serve, dump)
 //! ```
 //!
 //! `superblocks` is the per-benchmark gain table; `superblock` is the
 //! cross-machine *scope* scenario — the full pipeline per registry
 //! machine at block and superblock scope side by side.
 //!
-//! `serve` (like `factory`, not part of `all`) runs the serving-layer
-//! load generator: a live `wts-serve` instance under concurrent
-//! clients with online retraining hot-swapping the filter.
+//! `serve` (like `factory` and `dump`, not part of `all`) runs the
+//! serving-layer load generator: a live `wts-serve` instance under
+//! concurrent clients with online retraining hot-swapping the filter.
+//!
+//! `dump` prints the jvm98 trace corpus as `schedfilter-trace-v2` text:
+//! the header line, then one tab-separated line per traced record.
 
 use std::process::ExitCode;
 use wts_experiments::{
     table1, table2, table7, Experiments, ServeLoad, CALIBRATION_OPERATING_POINT, PORTFOLIO_TOLERANCE,
 };
 
-const USAGE: &str = "usage: repro [--scale X] [table1..table7|fig1..fig4|calibrate|learners|machines|policies|factory|serve|superblocks|superblock|adaptive|selftrain|matrix|portfolio|verify|lint|all]...";
+const USAGE: &str = "usage: repro [--scale X] [table1..table7|fig1..fig4|calibrate|learners|machines|policies|factory|serve|dump|superblocks|superblock|adaptive|selftrain|matrix|portfolio|verify|lint|all]...";
 
 fn main() -> ExitCode {
     let mut scale = 1.0f64;
@@ -82,7 +85,7 @@ fn main() -> ExitCode {
         artifacts = all.iter().map(|s| s.to_string()).collect();
     }
     for a in &artifacts {
-        if !all.contains(&a.as_str()) && a != "factory" && a != "serve" {
+        if !all.contains(&a.as_str()) && !matches!(a.as_str(), "factory" | "serve" | "dump") {
             eprintln!("unknown artifact: {a}\n{USAGE}");
             return ExitCode::FAILURE;
         }
@@ -167,6 +170,7 @@ fn main() -> ExitCode {
                         println!("{}", e.calibration(m, 0, CALIBRATION_OPERATING_POINT));
                     }
                     "factory" => println!("{}", e.factory_filter(20)),
+                    "dump" => print!("{}", e.dump()),
                     "serve" => {
                         eprintln!("# serving the jvm98 suite under concurrent load with online retraining...");
                         println!("{}", e.serve(ServeLoad::default()));

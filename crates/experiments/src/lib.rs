@@ -11,6 +11,7 @@
 //! repro table3                   # one artifact
 //! repro --scale 0.1 fig2         # quick look
 //! repro --scale 0.1 matrix       # cross-machine sweep over the registry
+//! repro --scale 0.02 dump        # the jvm98 trace corpus as text
 //! ```
 //!
 //! Methods return [`Table`]s (or strings for Figure 4) so tests can assert
@@ -91,6 +92,13 @@ impl Experiments {
             SuiteKind::Fp => &self.fp,
         }
     }
+
+    /// The jvm98 trace corpus as human-readable text
+    /// ([`write_trace`](wts_core::write_trace)): the header line, then one
+    /// line per traced record. `repro dump` prints it; nothing parses it back.
+    pub fn dump(&self) -> String {
+        wts_core::write_trace(self.jvm98.all_traces()).expect("generated benchmark names are tab-free")
+    }
 }
 
 fn suite_programs(suite: &Suite) -> Vec<wts_ir::Program> {
@@ -132,6 +140,16 @@ mod tests {
             let f = run.filter_for(0, &name);
             assert_eq!(f.threshold_percent(), 0);
         }
+    }
+
+    #[test]
+    fn dump_prints_the_header_then_one_line_per_record() {
+        let e = harness();
+        let text = e.dump();
+        let mut lines = text.lines();
+        assert!(lines.next().expect("header").starts_with("schedfilter-trace-v2\t"));
+        assert_eq!(lines.count(), e.run(SuiteKind::Jvm98).all_traces().len());
+        assert!(text.ends_with('\n'));
     }
 
     #[test]

@@ -59,15 +59,6 @@ impl<'m> CompileSession<'m> {
         self
     }
 
-    /// Re-seats the session on a shared [`FilterStore`] — typically the
-    /// store an [`ExperimentRun`](wts_core::ExperimentRun) or a serving
-    /// daemon publishes into, so filters trained there deploy here
-    /// without copying.
-    pub fn with_store(mut self, store: Arc<FilterStore>) -> CompileSession<'m> {
-        self.store = store;
-        self
-    }
-
     /// The target machine.
     pub fn machine(&self) -> &MachineConfig {
         self.machine
@@ -396,16 +387,6 @@ mod tests {
                 assert_eq!(served_totals.scheduled_blocks, jit.scheduled_blocks);
             }
         }
-    }
-
-    #[test]
-    fn sessions_share_a_store_when_re_seated() {
-        let m = machine();
-        let store = FilterStore::shared();
-        let a = CompileSession::new(&m).with_store(Arc::clone(&store));
-        let b = CompileSession::new(&m).with_store(Arc::clone(&store));
-        assert!(Arc::ptr_eq(a.store(), b.store()));
-        assert!(!Arc::ptr_eq(CompileSession::new(&m).store(), a.store()), "default store is private");
     }
 
     #[test]

@@ -103,13 +103,13 @@ fn compile_session_agrees_with_trace_based_eval() {
 fn factory_deployment_round_trip() {
     // The paper's deployment story: trace at the factory, ship the trace
     // file, train, ship the rules listing, install it in the compiler.
-    use schedfilter::filters::{read_trace, write_trace, LearnedFilter};
+    use schedfilter::filters::{read_trace_binary, write_trace_binary, LearnedFilter};
     use schedfilter::ripper::parse_rule_set;
 
     let traces = jvm98_traces();
     // Trace file round trip.
-    let text = write_trace(&traces).expect("generated benchmark names are tab-free");
-    let back = read_trace(&text).expect("trace file must parse");
+    let bytes = write_trace_binary(&traces).expect("generated features are finite");
+    let back = read_trace_binary(&bytes).expect("trace file must parse");
     assert_eq!(back, traces);
 
     // Train, print, re-parse the rules, and check the filters agree on

@@ -277,7 +277,7 @@ fn shutdown_persists_the_retrain_corpus_round_trip() {
     assert_eq!(report.retrain.records_persisted, expected, "seed + absorbed records persisted");
     let bytes = std::fs::read(&path).expect("persisted corpus exists");
     std::fs::remove_file(&path).ok();
-    let records = wts_core::read_trace_auto(&bytes).expect("round-trips through schedfilter-trace-bin-v1");
+    let records = wts_core::read_trace_binary(&bytes).expect("round-trips through schedfilter-trace-bin-v1");
     assert_eq!(records.len() as u64, expected);
     assert_eq!(&records[..seed.len()], &seed[..], "the seed prefix survives bit-exactly");
     // The persisted corpus is a working seed: a restarted instance
