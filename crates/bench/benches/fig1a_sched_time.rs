@@ -8,19 +8,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_bench::BenchSetup;
-use wts_core::{collect_trace_with, AlwaysSchedule, TimingMode, TraceOptions};
-use wts_jit::CompileSession;
+use wts_core::{collect_trace_with, AlwaysSchedule, Experiment, TimingMode, TraceOptions};
+use wts_jit::{CompileSession, Suite};
+use wts_machine::MachineConfig;
 
 fn fig1a(c: &mut Criterion) {
-    let setup = BenchSetup::jvm98(0);
-    let session = CompileSession::new(&setup.machine);
+    let suite = Suite::specjvm98(wts_bench::BENCH_SCALE);
+    let machine = MachineConfig::ppc7410();
+    let run = Experiment::new(machine.clone()).run(suite.benchmarks().iter().map(|b| b.program().clone()).collect());
+    let session = CompileSession::new(&machine);
     let mut group = c.benchmark_group("fig1a_sched_time");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
 
-    for bench in setup.suite.benchmarks() {
+    for bench in suite.benchmarks() {
         let name = bench.name().to_string();
         group.bench_function(format!("{name}/LS"), |b| {
             b.iter(|| {
@@ -28,7 +30,7 @@ fn fig1a(c: &mut Criterion) {
                 black_box((out.block_count(), stats.pass_ns))
             });
         });
-        let filter = setup.filter_for(&name).clone();
+        let filter = run.filter_for(0, &name);
         group.bench_function(format!("{name}/LN_t0"), |b| {
             b.iter(|| {
                 let (out, stats) = session.compile(black_box(bench.program()), &filter);
@@ -43,10 +45,10 @@ fn fig1a(c: &mut Criterion) {
 /// the parallel path must produce identical records (asserted here on
 /// the deterministic channels) and, on multicore hosts, finish faster.
 fn trace_sharding(c: &mut Criterion) {
-    // Only the suite and machine are needed — skip BenchSetup's LOOCV
-    // training pass.
-    let suite = wts_jit::Suite::specjvm98(wts_bench::BENCH_SCALE);
-    let machine = wts_machine::MachineConfig::ppc7410();
+    // Only the suite and machine are needed — skip the LOOCV training
+    // pass.
+    let suite = Suite::specjvm98(wts_bench::BENCH_SCALE);
+    let machine = MachineConfig::ppc7410();
     let opts_serial = TraceOptions { threads: 1, timing: TimingMode::Deterministic, ..Default::default() };
     let opts_auto = TraceOptions { threads: 0, timing: TimingMode::Deterministic, ..Default::default() };
     // Fixed thread count, so the sharded machinery is exercised (and its

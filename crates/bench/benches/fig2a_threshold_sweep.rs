@@ -6,9 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_bench::{BenchSetup, BENCH_SCALE};
-use wts_core::{AlwaysSchedule, Filter};
+use wts_bench::BENCH_SCALE;
+use wts_core::{AlwaysSchedule, Experiment, Filter};
 use wts_jit::{CompileSession, Suite};
+use wts_machine::MachineConfig;
 
 fn compile_suite(session: &CompileSession<'_>, suite: &Suite, filter: &dyn Filter) -> u64 {
     let mut total = 0;
@@ -21,25 +22,22 @@ fn compile_suite(session: &CompileSession<'_>, suite: &Suite, filter: &dyn Filte
 
 fn fig2a(c: &mut Criterion) {
     let suite = Suite::specjvm98(BENCH_SCALE);
+    let machine = MachineConfig::ppc7410();
+    let run = Experiment::new(machine.clone()).run(suite.benchmarks().iter().map(|b| b.program().clone()).collect());
+    let session = CompileSession::new(&machine);
     let mut group = c.benchmark_group("fig2a_threshold_sweep");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
 
     // LS reference.
-    {
-        let setup = BenchSetup::jvm98(0);
-        let session = CompileSession::new(&setup.machine);
-        group.bench_function("LS", |b| {
-            b.iter(|| black_box(compile_suite(&session, &suite, &AlwaysSchedule)));
-        });
-    }
+    group.bench_function("LS", |b| {
+        b.iter(|| black_box(compile_suite(&session, &suite, &AlwaysSchedule)));
+    });
 
     for t in [0u32, 10, 20, 35, 50] {
-        let setup = BenchSetup::jvm98(t);
-        let session = CompileSession::new(&setup.machine);
         // One representative filter per threshold: the compress fold.
-        let filter = setup.filter_for("compress").clone();
+        let filter = run.filter_for(t, "compress");
         group.bench_function(format!("LN_t{t}"), |b| {
             b.iter(|| black_box(compile_suite(&session, &suite, &filter)));
         });

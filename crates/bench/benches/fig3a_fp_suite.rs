@@ -3,20 +3,21 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_bench::BenchSetup;
-use wts_core::AlwaysSchedule;
-use wts_jit::CompileSession;
+use wts_core::{AlwaysSchedule, Experiment};
+use wts_jit::{CompileSession, Suite};
+use wts_machine::MachineConfig;
 
 fn fig3a(c: &mut Criterion) {
-    let setup0 = BenchSetup::fp(0);
-    let setup20 = BenchSetup::fp(20);
-    let session = CompileSession::new(&setup0.machine);
+    let suite = Suite::fp(wts_bench::BENCH_SCALE);
+    let machine = MachineConfig::ppc7410();
+    let run = Experiment::new(machine.clone()).run(suite.benchmarks().iter().map(|b| b.program().clone()).collect());
+    let session = CompileSession::new(&machine);
     let mut group = c.benchmark_group("fig3a_fp_suite");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
 
-    for bench in setup0.suite.benchmarks() {
+    for bench in suite.benchmarks() {
         let name = bench.name().to_string();
         group.bench_function(format!("{name}/LS"), |b| {
             b.iter(|| {
@@ -24,8 +25,8 @@ fn fig3a(c: &mut Criterion) {
                 black_box(stats.pass_ns)
             });
         });
-        for (t, setup) in [(0u32, &setup0), (20u32, &setup20)] {
-            let filter = setup.filter_for(&name).clone();
+        for t in [0u32, 20] {
+            let filter = run.filter_for(t, &name);
             group.bench_function(format!("{name}/LN_t{t}"), |b| {
                 b.iter(|| {
                     let (_, stats) = session.compile(black_box(bench.program()), &filter);

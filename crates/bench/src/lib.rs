@@ -1,69 +1,9 @@
-//! Shared setup for the Criterion benches that regenerate the paper's
+//! Shared settings for the Criterion benches that regenerate the paper's
 //! timing claims (Figures 1(a), 2(a), 3(a)) and the component-cost
 //! ablations called out in DESIGN.md §5.
 //!
 //! The benches live in `benches/`; run them with `cargo bench`.
 
-use wts_core::{Experiment, LearnedFilter, TraceRecord};
-use wts_jit::Suite;
-use wts_machine::MachineConfig;
-
 /// Corpus scale used by the benches: large enough to be representative,
 /// small enough that `cargo bench` completes in minutes.
 pub const BENCH_SCALE: f64 = 0.05;
-
-/// Everything a figure bench needs: machine, suite, traces and trained
-/// per-benchmark filters at a given threshold — one [`Experiment`]
-/// pipeline run per setup.
-pub struct BenchSetup {
-    /// The modelled machine.
-    pub machine: MachineConfig,
-    /// The generated suite.
-    pub suite: Suite,
-    /// Traces per benchmark (same order as the suite).
-    pub traces: Vec<Vec<TraceRecord>>,
-    /// `(benchmark, filter)` pairs from leave-one-out training.
-    pub filters: Vec<(String, LearnedFilter)>,
-}
-
-impl BenchSetup {
-    /// Builds the jvm98 setup at `BENCH_SCALE` with filters at threshold `t`.
-    pub fn jvm98(t: u32) -> BenchSetup {
-        BenchSetup::build(Suite::specjvm98(BENCH_SCALE), t)
-    }
-
-    /// Builds the FP-suite setup.
-    pub fn fp(t: u32) -> BenchSetup {
-        BenchSetup::build(Suite::fp(BENCH_SCALE), t)
-    }
-
-    fn build(suite: Suite, t: u32) -> BenchSetup {
-        let machine = MachineConfig::ppc7410();
-        let programs = suite.benchmarks().iter().map(|b| b.program().clone()).collect();
-        // Serial tracing keeps the wall-clock *_ns channels in `traces`
-        // contention-free (same rationale as Experiments::new); training
-        // still shards across cores.
-        let run = Experiment::new(machine.clone()).with_trace_threads(1).run(programs);
-        let filters = run.loocv_filters(t).to_vec();
-        BenchSetup { machine, suite, traces: run.traces().to_vec(), filters }
-    }
-
-    /// The filter trained with this benchmark held out.
-    pub fn filter_for(&self, bench: &str) -> &LearnedFilter {
-        &self.filters.iter().find(|(n, _)| n == bench).unwrap_or_else(|| panic!("no filter for {bench}")).1
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn setup_builds_and_exposes_filters() {
-        let s = BenchSetup::jvm98(0);
-        assert_eq!(s.filters.len(), 7);
-        assert_eq!(s.traces.len(), 7);
-        let name = s.suite.benchmarks()[0].name().to_string();
-        let _ = s.filter_for(&name);
-    }
-}

@@ -127,7 +127,7 @@ impl EvalTimes {
         self.feature_work += other.feature_work;
         self.scheduled_blocks += other.scheduled_blocks;
         self.total_blocks += other.total_blocks;
-        self.benefit_cycles += other.benefit_cycles;
+        self.benefit_cycles = self.benefit_cycles.saturating_add(other.benefit_cycles);
     }
 }
 
@@ -253,10 +253,19 @@ pub fn sched_time_policy(traces: &[TraceRecord], filter: &dyn Filter, policy: &D
             out.scheduled_blocks += 1;
             out.filtered_ns += r.sched_ns;
             out.filtered_work += r.sched_work;
-            out.benefit_cycles += r.exec_count as i64 * (r.est_unsched as i64 - r.est_sched as i64);
+            out.benefit_cycles = out.benefit_cycles.saturating_add(unit_benefit(r));
         }
     }
     out
+}
+
+/// `exec · (est_unsched − est_sched)`, saturating at the `i64` range:
+/// the binary trace reader accepts any `u64` in these channels, and a
+/// hot, clearly beneficial unit must not wrap into a debit (or panic a
+/// debug build). In range it is the exact product.
+fn unit_benefit(r: &TraceRecord) -> i64 {
+    let signed = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+    signed(r.exec_count).saturating_mul(signed(r.est_unsched).saturating_sub(signed(r.est_sched)))
 }
 
 /// The oracle-best-per-unit row of the calibration table: with the true
@@ -269,14 +278,14 @@ pub fn sched_time_policy(traces: &[TraceRecord], filter: &dyn Filter, policy: &D
 pub fn oracle_times(traces: &[TraceRecord], cycles_per_work: f64) -> EvalTimes {
     let mut out = EvalTimes { total_blocks: traces.len(), ..EvalTimes::default() };
     for r in traces {
-        let benefit = r.exec_count as i64 * (r.est_unsched as i64 - r.est_sched as i64);
+        let benefit = unit_benefit(r);
         out.always_ns += r.sched_ns;
         out.always_work += r.sched_work;
         if benefit as f64 > cycles_per_work * r.sched_work as f64 {
             out.scheduled_blocks += 1;
             out.filtered_ns += r.sched_ns;
             out.filtered_work += r.sched_work;
-            out.benefit_cycles += benefit;
+            out.benefit_cycles = out.benefit_cycles.saturating_add(benefit);
         }
     }
     out
@@ -514,6 +523,25 @@ mod tests {
         assert_eq!(sum.benefit_cycles, 25);
         assert_eq!(sum.scheduled_blocks, 3);
         assert_eq!(sum.total_blocks, 7);
+    }
+
+    #[test]
+    fn benefit_saturates_on_a_hot_unit_the_reader_accepts() {
+        // Regression: `exec · (est_unsched − est_sched)` was computed with
+        // `as i64` casts and plain `*`/`+`. This record's 2^70-cycle
+        // benefit panicked a debug build and wrapped to 0 in release.
+        let hot = rec(10.0, 1 << 40, (1 << 30, 0), (1 << 30, 0));
+        let bytes = crate::write_trace_binary(&[hot]).expect("finite features");
+        let records = crate::read_trace_binary(&bytes).expect("the reader accepts any u64 count");
+        let e = sched_time_ratio(&records, &AlwaysSchedule);
+        assert_eq!(e.benefit_cycles, i64::MAX, "a hot, clearly beneficial unit saturates");
+        let oracle = oracle_times(&records, 1.0);
+        assert_eq!((oracle.scheduled_blocks, oracle.benefit_cycles), (1, i64::MAX));
+        let mut sum = e;
+        sum.accumulate(&e);
+        assert_eq!(sum.benefit_cycles, i64::MAX, "accumulation saturates too");
+        // In range, the arithmetic is exact.
+        assert_eq!(sched_time_ratio(&traces(), &AlwaysSchedule).benefit_cycles, 100 * 20 + 10);
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //! 3. **Train** maps to §2.3: RIPPER induces an if-then rule set; the
 //!    paper's evaluation protocol is leave-one-benchmark-out
 //!    cross-validation, sharded across folds.
-//! 4. **Evaluate** maps to §3: classification accuracy (Table 3),
-//!    predicted times (Table 4), run-time classification (Table 6),
-//!    scheduling-time and application-time ratios (Figures 1–3).
+//! 4. **Evaluate** maps to §3: [`ExperimentRun::folds`] scores each
+//!    held-out benchmark once, and every artifact reads those rows —
+//!    classification accuracy (Table 3), predicted times (Table 4),
+//!    run-time classification (Table 6), scheduling-time and
+//!    application-time ratios (Figures 1–3).
 //!
 //! ```
 //! use wts_core::Experiment;
@@ -47,13 +49,11 @@
 //! assert_eq!(run.all_traces().len(), 1);
 //! ```
 
-use crate::eval::{
-    app_time_ratio, classification_matrix, predicted_time_ratio, runtime_classification, sched_time_policy,
-    sched_time_ratio, ClassCounts, EvalTimes,
-};
+use crate::eval::{app_time_ratio, classification_matrix, predicted_time_ratio, sched_time_policy, EvalTimes};
 use crate::label::{build_dataset, LabelConfig};
 use crate::learner::{Learner, LearnerKind};
 use crate::matrix::PortfolioEntry;
+use crate::policy::DecisionPolicy;
 use crate::store::{FilterKey, FilterStore};
 use crate::trace::{collect_trace_with, TimingMode, TraceOptions, TraceRecord};
 use crate::train::{train_loocv_sharded, TrainConfig};
@@ -255,7 +255,6 @@ impl Experiment {
         let names: Vec<String> = programs.iter().map(|p| p.name().to_string()).collect();
         let all_traces: Vec<TraceRecord> = traces.iter().flat_map(|t| t.iter().cloned()).collect();
         ExperimentRun {
-            learner: LearnerKind::default(),
             scope: self.scope,
             threads: self.train_threads,
             machine_name: self.machine.name().to_string(),
@@ -309,7 +308,6 @@ impl std::error::Error for CorpusError {
 /// private caches, so the same filters the tables report are the ones
 /// a JIT session or a serving daemon deploys.
 pub struct ExperimentRun {
-    learner: LearnerKind,
     scope: ScopeKind,
     threads: usize,
     machine_name: String,
@@ -368,16 +366,10 @@ impl ExperimentRun {
         self.names.iter().position(|n| n == bench).unwrap_or_else(|| panic!("no benchmark {bench} in this run"))
     }
 
-    /// The train config this run uses at threshold `t`, with the run's
-    /// backend (RIPPER, [`LearnerKind::default`]) and scope.
+    /// The train config this run uses at threshold `t`: RIPPER
+    /// ([`LearnerKind::default`]) at the run's scope.
     pub fn train_config(&self, t: u32) -> TrainConfig {
-        TrainConfig { label: LabelConfig::new(t), learner: self.learner.clone(), scope: self.scope }
-    }
-
-    /// The run's induction backend: always RIPPER ([`LearnerKind::default`]);
-    /// other backends go through the `_for` variants.
-    pub fn learner(&self) -> &LearnerKind {
-        &self.learner
+        TrainConfig::with_threshold(t).with_scope(self.scope)
     }
 
     /// The scheduling scope this run's traces were collected at.
@@ -392,11 +384,10 @@ impl ExperimentRun {
     }
 
     /// Stage 3 (evaluation protocol): leave-one-benchmark-out filters at
-    /// threshold `t` under the run's backend, cached across
-    /// artifacts, trained with folds sharded across the configured
-    /// worker threads.
+    /// threshold `t` under RIPPER, cached across artifacts, trained with
+    /// folds sharded across the configured worker threads.
     pub fn loocv_filters(&self, t: u32) -> LoocvFilters {
-        self.loocv_filters_for(t, &self.learner)
+        self.loocv_filters_for(t, &LearnerKind::default())
     }
 
     /// [`loocv_filters`](ExperimentRun::loocv_filters) under an explicit
@@ -404,7 +395,7 @@ impl ExperimentRun {
     /// the training stage re-runs, and each `(learner, threshold)` pair
     /// occupies its own [`FilterStore`] fold slot.
     pub fn loocv_filters_for(&self, t: u32, learner: &LearnerKind) -> LoocvFilters {
-        let config = TrainConfig { label: LabelConfig::new(t), learner: learner.clone(), scope: self.scope };
+        let config = TrainConfig::with_learner(t, learner.clone()).with_scope(self.scope);
         self.store.loocv_or_train(self.filter_key(t, learner), || {
             train_loocv_sharded(&self.all_traces, &config, self.threads)
         })
@@ -425,19 +416,19 @@ impl ExperimentRun {
     }
 
     /// Stage 3 ("at the factory", §3): one filter trained on the whole
-    /// corpus at threshold `t` under the run's backend,
-    /// published in the run's [`FilterStore`] (the cross-machine
-    /// transfer table queries it repeatedly; a retrainer may later
-    /// [`swap`](FilterStore::swap) the same slot).
+    /// corpus at threshold `t` under RIPPER, published in the run's
+    /// [`FilterStore`] (the cross-machine transfer table queries it
+    /// repeatedly; a retrainer may later [`swap`](FilterStore::swap) the
+    /// same slot).
     pub fn factory_filter(&self, t: u32) -> LearnedFilter {
-        self.factory_filter_for(t, &self.learner)
+        self.factory_filter_for(t, &LearnerKind::default())
     }
 
     /// [`factory_filter`](ExperimentRun::factory_filter) under an
     /// explicit backend, published per `(machine, learner, scope,
     /// threshold)`.
     pub fn factory_filter_for(&self, t: u32, learner: &LearnerKind) -> LearnedFilter {
-        let config = TrainConfig { label: LabelConfig::new(t), learner: learner.clone(), scope: self.scope };
+        let config = TrainConfig::with_learner(t, learner.clone()).with_scope(self.scope);
         self.store
             .deployed_or_train(self.filter_key(t, learner), || crate::train_filter(&self.all_traces, &config))
             .source()
@@ -464,66 +455,60 @@ impl ExperimentRun {
         &self.store
     }
 
-    /// One learner's full portfolio row on this run: aggregate LOOCV
-    /// classification error over every benchmark's held-out fold,
-    /// geometric-mean predicted/app time ratios, and the accumulated
-    /// honest filter + extraction overhead
-    /// ([`EvalTimes`](crate::EvalTimes)) of its compiled filters.
-    pub fn learner_eval(&self, t: u32, learner: &LearnerKind) -> PortfolioEntry {
+    /// Stage 4, the whole §3 evaluation in one pass: one [`FoldEval`] per
+    /// benchmark, in [`names`](ExperimentRun::names) order (the tables'
+    /// column order), each scoring that benchmark's own threshold-`t`
+    /// LOOCV filter of `learner` against its held-out trace. Every paper
+    /// table, figure, portfolio row and calibration row reads these rows.
+    ///
+    /// `cycles_per_work` picks the schedule/skip call behind
+    /// [`times`](FoldEval::times): `None` is the paper's
+    /// [`HardThreshold`](crate::DecisionPolicy::HardThreshold) (schedule
+    /// iff a rule fired); `Some(c)` is the expected-benefit policy at
+    /// operating point `c`, calibrated per fold on the *other*
+    /// benchmarks' traces, so it is as honest as the LOOCV error numbers.
+    /// The other fields do not depend on the policy.
+    pub fn folds(&self, t: u32, learner: &LearnerKind, cycles_per_work: Option<f64>) -> Vec<FoldEval> {
         let filters = self.loocv_filters_for(t, learner);
         let label = LabelConfig::new(t);
+        self.names
+            .iter()
+            .zip(&self.traces)
+            .map(|(bench, trace)| {
+                let (_, filter) = filters.iter().find(|(n, _)| n == bench).expect("one LOOCV fold per benchmark");
+                let policy = cycles_per_work.map_or(DecisionPolicy::HardThreshold, |c| self.policy_for(bench, c));
+                FoldEval {
+                    bench: bench.clone(),
+                    confusion: classification_matrix(trace, filter, label),
+                    predicted_percent: predicted_time_ratio(trace, filter),
+                    app_ratio: app_time_ratio(trace, filter),
+                    times: sched_time_policy(trace, filter, &policy),
+                    conditions: filter.rules().condition_count(),
+                }
+            })
+            .collect()
+    }
+
+    /// One learner's full portfolio row on this run: its
+    /// [`folds`](ExperimentRun::folds) aggregated — LOOCV classification
+    /// error over every held-out fold, geometric-mean predicted/app time
+    /// ratios, and the accumulated honest filter + extraction overhead.
+    pub fn learner_eval(&self, t: u32, learner: &LearnerKind) -> PortfolioEntry {
+        let folds = self.folds(t, learner, None);
         let mut confusion = ConfusionMatrix::default();
-        let mut pred = Vec::new();
-        let mut app = Vec::new();
-        let mut times = EvalTimes::default();
-        let mut conditions = 0usize;
-        for (bench, filter) in filters.iter() {
-            let tr = self.trace_for(bench);
-            let m = classification_matrix(tr, filter, label);
-            confusion.accumulate(&m);
-            pred.push(predicted_time_ratio(tr, filter));
-            app.push(app_time_ratio(tr, filter));
-            times.accumulate(&sched_time_ratio(tr, filter));
-            conditions += filter.rules().condition_count();
+        for fold in &folds {
+            confusion.accumulate(&fold.confusion);
         }
+        let pred: Vec<f64> = folds.iter().map(|f| f.predicted_percent).collect();
+        let app: Vec<f64> = folds.iter().map(|f| f.app_ratio).collect();
         PortfolioEntry {
             learner: learner.name(),
             error_percent: confusion.error_percent(),
             predicted_percent: geometric_mean(&pred),
             app_ratio: geometric_mean(&app),
-            conditions,
-            times,
+            conditions: folds.iter().map(|f| f.conditions).sum(),
+            times: total_times(&folds),
         }
-    }
-
-    /// Stage 4, Table 3: confusion of `bench`'s own LOOCV filter against
-    /// its threshold-`t` labels.
-    pub fn classification(&self, t: u32, bench: &str) -> ConfusionMatrix {
-        classification_matrix(self.trace_for(bench), &self.filter_for(t, bench), LabelConfig::new(t))
-    }
-
-    /// Stage 4, Table 4: predicted (cheap-estimator) execution time under
-    /// `bench`'s LOOCV filter, percent of never-scheduling.
-    pub fn predicted_time(&self, t: u32, bench: &str) -> f64 {
-        predicted_time_ratio(self.trace_for(bench), &self.filter_for(t, bench))
-    }
-
-    /// Stage 4, Figures 1b/2b/3b: measured application-time ratio under
-    /// `bench`'s LOOCV filter (fraction of never-scheduling).
-    pub fn app_time(&self, t: u32, bench: &str) -> f64 {
-        app_time_ratio(self.trace_for(bench), &self.filter_for(t, bench))
-    }
-
-    /// Figures 1b/2b/3b reference rows: application-time ratio of an
-    /// arbitrary fixed strategy over one benchmark.
-    pub fn app_time_with(&self, bench: &str, filter: &dyn Filter) -> f64 {
-        app_time_ratio(self.trace_for(bench), filter)
-    }
-
-    /// Stage 4, Figures 1a/2a/3a: scheduling-time measurement of
-    /// `bench`'s LOOCV filter versus always-scheduling.
-    pub fn sched_time(&self, t: u32, bench: &str) -> EvalTimes {
-        sched_time_ratio(self.trace_for(bench), &self.filter_for(t, bench))
     }
 
     /// The compiled engine form of `bench`'s LOOCV filter — flat
@@ -534,54 +519,14 @@ impl ExperimentRun {
         self.filter_for(t, bench).compile()
     }
 
-    /// Aggregate scheduling-time measurement of the threshold-`t` LOOCV
-    /// filters over *all* benchmarks — the per-machine row of the
-    /// filter-cost table: how much work the filters themselves add
-    /// (`filter_work` + `feature_work`) against the full always-schedule
-    /// cost.
-    pub fn sched_time_total(&self, t: u32) -> EvalTimes {
-        let mut total = EvalTimes::default();
-        for bench in &self.names {
-            total.accumulate(&self.sched_time(t, bench));
-        }
-        total
-    }
-
     /// The leave-one-out calibrated expected-benefit policy for `bench`:
     /// the savings rate comes from every *other* benchmark's traces,
     /// mirroring the LOOCV training protocol — the held-out fold never
     /// calibrates its own model, just as it never trains its own filter.
-    pub fn policy_for(&self, bench: &str, cycles_per_work: f64) -> crate::DecisionPolicy {
+    fn policy_for(&self, bench: &str, cycles_per_work: f64) -> DecisionPolicy {
         let i = self.index_of(bench);
         let others = self.traces.iter().enumerate().filter(|&(j, _)| j != i).flat_map(|(_, t)| t);
-        crate::DecisionPolicy::expected_benefit(others, cycles_per_work)
-    }
-
-    /// [`sched_time`](ExperimentRun::sched_time) with the schedule/skip
-    /// call delegated to an explicit [`DecisionPolicy`](crate::DecisionPolicy).
-    pub fn sched_time_with_policy(&self, t: u32, bench: &str, policy: &crate::DecisionPolicy) -> EvalTimes {
-        sched_time_policy(self.trace_for(bench), &self.filter_for(t, bench), policy)
-    }
-
-    /// [`sched_time_total`](ExperimentRun::sched_time_total) under the
-    /// per-fold expected-benefit policy at operating point
-    /// `cycles_per_work`: each benchmark is evaluated with a
-    /// [`BenefitModel`](crate::BenefitModel) calibrated on the other
-    /// benchmarks' traces ([`policy_for`](ExperimentRun::policy_for)),
-    /// so the aggregate is as honest as the LOOCV error numbers.
-    pub fn sched_time_expected_benefit(&self, t: u32, cycles_per_work: f64) -> EvalTimes {
-        let mut total = EvalTimes::default();
-        for bench in &self.names {
-            let policy = self.policy_for(bench, cycles_per_work);
-            total.accumulate(&self.sched_time_with_policy(t, bench, &policy));
-        }
-        total
-    }
-
-    /// Stage 4, Table 6: run-time LS/NS classification counts of
-    /// `bench`'s LOOCV filter over all its blocks.
-    pub fn runtime_counts(&self, t: u32, bench: &str) -> ClassCounts {
-        runtime_classification(self.trace_for(bench), &self.filter_for(t, bench))
+        DecisionPolicy::expected_benefit(others, cycles_per_work)
     }
 
     /// Count of trace records labeled `LS` at threshold `t` (Table 5).
@@ -597,9 +542,44 @@ impl ExperimentRun {
     }
 }
 
+/// One held-out benchmark's row of the §3 evaluation
+/// ([`ExperimentRun::folds`]): its own LOOCV filter scored on its trace
+/// along every axis the paper reports.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FoldEval {
+    /// The held-out benchmark.
+    pub bench: String,
+    /// Confusion against the threshold-`t` labels (Table 3).
+    pub confusion: ConfusionMatrix,
+    /// Predicted (cheap-estimator) time, percent of never-scheduling
+    /// (Table 4).
+    pub predicted_percent: f64,
+    /// Measured application-time ratio, fraction of never-scheduling
+    /// (Figures 1b/2b/3b).
+    pub app_ratio: f64,
+    /// Scheduling-time measurement versus always-scheduling under the
+    /// fold's decision policy (Figures 1a/2a/3a). Its
+    /// `scheduled_blocks` and `total_blocks − scheduled_blocks` are the
+    /// run-time LS/NS counts (Table 6).
+    pub times: EvalTimes,
+    /// Lowered conditions in the fold's filter (model size).
+    pub conditions: usize,
+}
+
+/// The folds' [`EvalTimes`] summed in fold order: one run's whole-corpus
+/// row of the filter-cost, portfolio and calibration tables.
+pub(crate) fn total_times(folds: &[FoldEval]) -> EvalTimes {
+    let mut total = EvalTimes::default();
+    for fold in folds {
+        total.accumulate(&fold.times);
+    }
+    total
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::sched_time_ratio;
     use crate::{AlwaysSchedule, NeverSchedule};
 
     /// The shared learnable three-benchmark suite, at six methods per
@@ -636,7 +616,7 @@ mod tests {
     fn factory_filters_are_published_in_the_store() {
         let r = run();
         let f = r.factory_filter(0);
-        let key = r.filter_key(0, r.learner());
+        let key = r.filter_key(0, &LearnerKind::default());
         assert_eq!(key.machine(), "ppc7410");
         let snap = r.store().get(&key).expect("factory filter published");
         assert_eq!(snap.epoch(), 1, "first publication of this key");
@@ -654,17 +634,67 @@ mod tests {
         let (data, groups) = r.dataset(0);
         assert_eq!(groups.len(), 3);
         assert_eq!(data.len(), r.all_traces().len(), "t=0 labels every record");
-        let m = r.classification(0, "alpha");
-        assert!(m.total() > 0);
-        let counts = r.runtime_counts(0, "alpha");
-        assert_eq!(counts.total(), r.trace_for("alpha").len());
-        assert!(r.app_time(0, "alpha") <= 1.0 + 1e-9);
-        assert_eq!(r.app_time_with("alpha", &NeverSchedule), 1.0);
+        let alpha = &r.folds(0, &LearnerKind::default(), None)[0];
+        assert_eq!(alpha.bench, "alpha");
+        assert!(alpha.confusion.total() > 0);
+        assert_eq!(alpha.times.total_blocks, r.trace_for("alpha").len());
+        assert!(alpha.app_ratio <= 1.0 + 1e-9);
+        assert_eq!(app_time_ratio(r.trace_for("alpha"), &NeverSchedule), 1.0);
         // The OoO hardware stand-in recovers these blocks' stalls, so the
         // measured channel only guarantees "no worse"; the benefit shows
         // on the estimated (cheap, in-order) channel.
-        assert!(r.app_time_with("alpha", &AlwaysSchedule) <= 1.0);
+        assert!(app_time_ratio(r.trace_for("alpha"), &AlwaysSchedule) <= 1.0);
         assert!(predicted_time_ratio(r.trace_for("alpha"), &AlwaysSchedule) < 100.0);
+    }
+
+    /// Every `FoldEval` field is the free eval function of that fold's
+    /// LOOCV filter on its trace, rows follow `names()` (not the
+    /// name-sorted fold order), and `Some(c)` swaps in exactly the
+    /// leave-one-out expected-benefit policy.
+    #[test]
+    fn folds_match_the_eval_functions() {
+        // Reversed program order: names() is gamma, beta, alpha while the
+        // LOOCV folds are name-sorted.
+        let block = Experiment::new(MachineConfig::ppc7410())
+            .with_timing(TimingMode::Deterministic)
+            .run(suite().into_iter().rev().collect());
+        let sb = Experiment::new(MachineConfig::ppc7410())
+            .with_timing(TimingMode::Deterministic)
+            .with_scope(ScopeKind::Superblock(70))
+            .run(crate::testutil::mergeable_suite(4));
+        // The filter's own wall-clock timing is the one channel two
+        // evaluations of the same fold need not share.
+        let deterministic = |e: &EvalTimes| EvalTimes { filtered_ns: 0, ..*e };
+        let ripper = LearnerKind::default();
+        for r in [&block, &sb] {
+            for t in [0, 20] {
+                let label = LabelConfig::new(t);
+                let hard = r.folds(t, &ripper, None);
+                let benches: Vec<&str> = hard.iter().map(|f| f.bench.as_str()).collect();
+                assert_eq!(benches, r.names(), "rows come in names() order");
+                let c = 2.0;
+                for (fold, eb) in hard.iter().zip(r.folds(t, &ripper, Some(c))) {
+                    let trace = r.trace_for(&fold.bench);
+                    let filter = r.filter_for(t, &fold.bench);
+                    assert_eq!(fold.confusion, classification_matrix(trace, &filter, label));
+                    assert_eq!(fold.predicted_percent, predicted_time_ratio(trace, &filter));
+                    assert_eq!(fold.app_ratio, app_time_ratio(trace, &filter));
+                    assert_eq!(fold.conditions, filter.rules().condition_count());
+                    assert_eq!(deterministic(&fold.times), deterministic(&sched_time_ratio(trace, &filter)));
+                    // Table 6's LS/NS counts, derived from the times.
+                    let counts = crate::runtime_classification(trace, &filter);
+                    let derived = (fold.times.scheduled_blocks, fold.times.total_blocks - fold.times.scheduled_blocks);
+                    assert_eq!(derived, (counts.ls, counts.ns), "{}: t={t}", fold.bench);
+                    // The policy moves only the times.
+                    assert_eq!(
+                        (&eb.bench, &eb.confusion, eb.conditions),
+                        (&fold.bench, &fold.confusion, fold.conditions)
+                    );
+                    let policy = r.policy_for(&fold.bench, c);
+                    assert_eq!(deterministic(&eb.times), deterministic(&sched_time_policy(trace, &filter, &policy)));
+                }
+            }
+        }
     }
 
     #[test]
@@ -782,10 +812,11 @@ mod tests {
         // The LOOCV filters carry the scope tag and classify the traces.
         let filters = sb.loocv_filters(0);
         assert_eq!(filters.len(), 3);
-        for (bench, f) in filters.iter() {
+        for (_, f) in filters.iter() {
             assert_eq!(f.learner(), "L/N@sb70");
-            let m = sb.classification(0, bench);
-            assert!(m.total() > 0);
+        }
+        for fold in sb.folds(0, &LearnerKind::default(), None) {
+            assert!(fold.confusion.total() > 0, "{}", fold.bench);
         }
         // Scope is a real scenario axis: the block pipeline over the
         // same corpus sees more (finer) decision units.

@@ -80,7 +80,7 @@ pub use eval::{
     app_time_ratio, classification_matrix, oracle_times, predicted_time_ratio, runtime_classification,
     sched_time_policy, sched_time_ratio, ClassCounts, EvalTimes,
 };
-pub use experiment::{CorpusError, Experiment, ExperimentRun, LoocvFilters};
+pub use experiment::{CorpusError, Experiment, ExperimentRun, FoldEval, LoocvFilters};
 pub use filter::{AlwaysSchedule, Filter, LearnedFilter, NeverSchedule, SizeThresholdFilter};
 pub use io::{read_trace_binary, write_trace, write_trace_binary, BinCursor, BinaryTraceError, TraceWriteError};
 pub use label::{build_dataset, LabelConfig};

@@ -47,7 +47,7 @@
 //! ```
 
 use crate::eval::{classification_matrix, oracle_times};
-use crate::experiment::{Experiment, ExperimentRun};
+use crate::experiment::{total_times, Experiment, ExperimentRun};
 use crate::label::LabelConfig;
 use crate::learner::LearnerKind;
 use crate::policy::BenefitModel;
@@ -91,22 +91,6 @@ impl ExperimentMatrix {
     pub fn with_template(mut self, template: Experiment) -> ExperimentMatrix {
         self.template = template;
         self
-    }
-
-    /// Sets the scheduling scope on the template: the whole sweep then
-    /// traces, labels, trains and evaluates per basic block or per
-    /// formed superblock trace on every registry machine. This is the
-    /// scenario axis of the matrix — scopes multiply with
-    /// machines×learners×thresholds exactly as the machine registry
-    /// multiplied the hardware axis.
-    pub fn with_scope(mut self, scope: wts_ir::ScopeKind) -> ExperimentMatrix {
-        self.template = self.template.with_scope(scope);
-        self
-    }
-
-    /// The scheduling scope the sweep runs at.
-    pub fn scope(&self) -> wts_ir::ScopeKind {
-        self.template.scope()
     }
 
     /// Worker threads for the machines×methods sharding (`0` = one per
@@ -270,7 +254,12 @@ impl MatrixRun {
     /// the headline number; the paper's premise is that it stays near
     /// zero on every target).
     pub fn filter_cost(&self, t: u32) -> Vec<(String, crate::EvalTimes)> {
-        self.machines.iter().zip(&self.runs).map(|(m, run)| (m.name().to_string(), run.sched_time_total(t))).collect()
+        let ripper = LearnerKind::default();
+        self.machines
+            .iter()
+            .zip(&self.runs)
+            .map(|(m, run)| (m.name().to_string(), total_times(&run.folds(t, &ripper, None))))
+            .collect()
     }
 
     /// Threshold sweep, side by side: for each machine, the LS instance
@@ -341,14 +330,15 @@ impl MatrixRun {
     /// operating point: estimator cycles recovered minus compile-time
     /// work priced in application cycles.
     pub fn calibration(&self, t: u32, cycles_per_work: f64) -> Vec<CalibrationRow> {
+        let ripper = LearnerKind::default();
         self.machines
             .iter()
             .zip(&self.runs)
             .map(|(m, run)| CalibrationRow {
                 machine: m.name().to_string(),
                 model: BenefitModel::calibrate(run.all_traces(), cycles_per_work),
-                baseline: run.sched_time_total(t),
-                expected_benefit: run.sched_time_expected_benefit(t, cycles_per_work),
+                baseline: total_times(&run.folds(t, &ripper, None)),
+                expected_benefit: total_times(&run.folds(t, &ripper, Some(cycles_per_work))),
                 oracle: oracle_times(run.all_traces(), cycles_per_work),
             })
             .collect()

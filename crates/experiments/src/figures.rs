@@ -1,9 +1,10 @@
 //! Figures 1–4: efficiency/effectiveness series and the sample filter,
-//! as views over the suite [`ExperimentRun`](wts_core::ExperimentRun)s.
+//! as views over the suite [`ExperimentRun`](wts_core::ExperimentRun)s'
+//! per-fold [`folds`](wts_core::ExperimentRun::folds).
 
 use crate::table::{f3, Table};
 use crate::{Experiments, SuiteKind, THRESHOLDS};
-use wts_core::AlwaysSchedule;
+use wts_core::{app_time_ratio, AlwaysSchedule, LearnerKind};
 use wts_ripper::geometric_mean;
 
 /// The (a)/(b) pair of one figure: scheduling time and application time.
@@ -38,8 +39,8 @@ impl Experiments {
         // for scheduling time; measured ratio for app time).
         let mut ls_row = vec!["LS".to_string()];
         let mut ls_ratios = Vec::new();
-        for name in run.names() {
-            let r = run.app_time_with(name, &AlwaysSchedule);
+        for trace in run.traces() {
+            let r = app_time_ratio(trace, &AlwaysSchedule);
             ls_ratios.push(r);
             ls_row.push(f3(r));
         }
@@ -52,15 +53,13 @@ impl Experiments {
             let mut sratios = Vec::new();
             let mut mratios = Vec::new();
             let mut aratios = Vec::new();
-            for name in run.names() {
-                let times = run.sched_time(th, name);
-                let s = times.work_ratio();
+            for fold in run.folds(th, &LearnerKind::default(), None) {
+                let s = fold.times.work_ratio();
                 sratios.push(s);
-                mratios.push(times.measured_ratio());
+                mratios.push(fold.times.measured_ratio());
                 srow.push(f3(s));
-                let a = run.app_time(th, name);
-                aratios.push(a);
-                arow.push(f3(a));
+                aratios.push(fold.app_ratio);
+                arow.push(f3(fold.app_ratio));
             }
             srow.push(f3(geometric_mean(&sratios)));
             srow.push(f3(geometric_mean(&mratios)));

@@ -4,7 +4,11 @@
 //! a [`wts_core::Experiment`] pipeline, which traces (method-sharded
 //! across threads), labels, trains (fold-sharded LOOCV, cached per
 //! threshold) and evaluates. Every table/figure method is a thin view
-//! over the resulting [`ExperimentRun`]s. The `repro` binary drives it:
+//! over the resulting [`ExperimentRun`]s: Tables 3, 4 and 6, Figures
+//! 1–3, the portfolio and the calibration table all read one
+//! per-benchmark [`FoldEval`](wts_core::FoldEval) row per threshold
+//! ([`ExperimentRun::folds`](wts_core::ExperimentRun::folds)). The
+//! `repro` binary drives it:
 //!
 //! ```text
 //! repro --scale 1.0 all          # everything, paper-sized corpus

@@ -1,54 +1,45 @@
 //! Tables 3–6: the quantitative jvm98 artifacts, as views over the
-//! jvm98 [`ExperimentRun`](wts_core::ExperimentRun).
+//! jvm98 [`ExperimentRun`](wts_core::ExperimentRun) and its per-fold
+//! [`folds`](wts_core::ExperimentRun::folds).
 
 use crate::table::{f2, Table};
 use crate::{Experiments, SuiteKind, THRESHOLDS};
+use wts_core::{FoldEval, LearnerKind};
 use wts_ripper::geometric_mean;
 
 impl Experiments {
-    /// Table 3: classification error rates (percent misclassified) per
-    /// benchmark for each threshold, with the geometric mean.
-    pub fn table3(&self) -> Table {
+    /// One jvm98 row per threshold: `value` of each benchmark's fold, in
+    /// [`names`](wts_core::ExperimentRun::names) order, then their
+    /// geometric mean.
+    fn per_fold_table(&self, title: &str, value: impl Fn(&FoldEval) -> f64) -> Table {
         let run = self.run(SuiteKind::Jvm98);
         let mut headers = vec!["Threshold".to_string()];
         headers.extend(run.names().iter().cloned());
         headers.push("Geo. mean".into());
-        let mut t = Table::new("Table 3: Classification error rates (percent misclassified)", headers);
+        let mut t = Table::new(title, headers);
         for &th in &THRESHOLDS {
+            let values: Vec<f64> = run.folds(th, &LearnerKind::default(), None).iter().map(&value).collect();
             let mut row = vec![format!("{th}%")];
-            let mut errs = Vec::new();
-            for name in run.names() {
-                let err = run.classification(th, name).error_percent();
-                errs.push(err);
-                row.push(f2(err));
-            }
-            row.push(f2(geometric_mean(&errs)));
+            row.extend(values.iter().map(|&v| f2(v)));
+            row.push(f2(geometric_mean(&values)));
             t.push_row(row);
         }
         t
+    }
+
+    /// Table 3: classification error rates (percent misclassified) per
+    /// benchmark for each threshold, with the geometric mean.
+    pub fn table3(&self) -> Table {
+        self.per_fold_table("Table 3: Classification error rates (percent misclassified)", |f| {
+            f.confusion.error_percent()
+        })
     }
 
     /// Table 4: predicted execution times (cheap-estimator weighted time
     /// under the filter, percent of never-scheduling) per benchmark and
     /// threshold.
     pub fn table4(&self) -> Table {
-        let run = self.run(SuiteKind::Jvm98);
-        let mut headers = vec!["Threshold".to_string()];
-        headers.extend(run.names().iter().cloned());
-        headers.push("Geo. mean".into());
-        let mut t = Table::new("Table 4: Predicted execution times (percent of no-scheduling)", headers);
-        for &th in &THRESHOLDS {
-            let mut row = vec![format!("{th}%")];
-            let mut ratios = Vec::new();
-            for name in run.names() {
-                let r = run.predicted_time(th, name);
-                ratios.push(r);
-                row.push(f2(r));
-            }
-            row.push(f2(geometric_mean(&ratios)));
-            t.push_row(row);
-        }
-        t
+        self.per_fold_table("Table 4: Predicted execution times (percent of no-scheduling)", |f| f.predicted_percent)
     }
 
     /// Table 5: training-set sizes — LS instance counts per threshold
@@ -83,10 +74,9 @@ impl Experiments {
         for &th in &THRESHOLDS {
             let mut ls = 0usize;
             let mut ns = 0usize;
-            for name in run.names() {
-                let c = run.runtime_counts(th, name);
-                ls += c.ls;
-                ns += c.ns;
+            for fold in run.folds(th, &LearnerKind::default(), None) {
+                ls += fold.times.scheduled_blocks;
+                ns += fold.times.total_blocks - fold.times.scheduled_blocks;
             }
             ns_row.push(ns.to_string());
             ls_row.push(ls.to_string());

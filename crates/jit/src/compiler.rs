@@ -324,7 +324,7 @@ mod tests {
         let run =
             wts_core::Experiment::new(m.clone()).with_timing(wts_core::TimingMode::Deterministic).run(vec![p.clone()]);
         let filter = wts_core::train_filter(run.all_traces(), &run.train_config(0));
-        let key = run.filter_key(0, run.learner());
+        let key = run.filter_key(0, &wts_core::LearnerKind::default());
         assert!(session.store().get(&key).is_none(), "nothing deployed yet");
         session.deploy(key.clone(), filter.clone());
         let snapshot = session.store().get(&key).expect("deployed");
@@ -350,7 +350,7 @@ mod tests {
         let run =
             wts_core::Experiment::new(m.clone()).with_timing(wts_core::TimingMode::Deterministic).run(vec![p.clone()]);
         let filter = wts_core::train_filter(run.all_traces(), &run.train_config(0));
-        let key = run.filter_key(0, run.learner());
+        let key = run.filter_key(0, &wts_core::LearnerKind::default());
         let model = wts_core::BenefitModel { saved_per_inst: 0.5, cycles_per_work: 50.0 };
         for decision in [DecisionPolicy::HardThreshold, DecisionPolicy::ExpectedBenefit(model)] {
             let session = CompileSession::new(&m).with_decision_policy(decision);

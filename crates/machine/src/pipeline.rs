@@ -334,8 +334,9 @@ mod tests {
         let mach = m();
         let cm = CostModel::new(&mach);
         let ps = PipelineSim::new(&mach);
-        let pred_gain = cm.sequence_cycles(&bad) as i64 - cm.sequence_cycles(&good) as i64;
-        let meas_gain = ps.sequence_cycles(&bad) as i64 - ps.sequence_cycles(&good) as i64;
+        let cycles = |c: u64| i64::try_from(c).expect("cycle count fits i64");
+        let pred_gain = cycles(cm.sequence_cycles(&bad)) - cycles(cm.sequence_cycles(&good));
+        let meas_gain = cycles(ps.sequence_cycles(&bad)) - cycles(ps.sequence_cycles(&good));
         assert!(pred_gain > 0);
         assert!(meas_gain >= 0);
         assert!(meas_gain <= pred_gain, "dynamic hardware recovers part of the stall");

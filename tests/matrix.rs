@@ -122,7 +122,13 @@ fn portfolio_smoke_every_backend_on_every_machine() {
 fn superblock_smoke_scope_scenario_on_every_machine() {
     let programs = generated_programs(0.05);
     let block = deterministic_matrix().run(&programs);
-    let superblock = deterministic_matrix().with_scope(ScopeKind::Superblock(70)).run(&programs);
+    let superblock = ExperimentMatrix::over_registry()
+        .with_template(
+            Experiment::new(MachineConfig::ppc7410())
+                .with_timing(TimingMode::Deterministic)
+                .with_scope(ScopeKind::Superblock(70)),
+        )
+        .run(&programs);
     assert_eq!(superblock.scope(), ScopeKind::Superblock(70));
 
     for machine in registry() {
