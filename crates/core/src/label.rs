@@ -1,8 +1,7 @@
 //! Threshold labeling of trace records (the noise-reduction trick).
 
-use crate::TraceRecord;
+use crate::{TraceRecord, TrainingSet};
 use std::collections::BTreeMap;
-use wts_features::FeatureKind;
 use wts_ripper::Dataset;
 
 /// Labeling configuration: the paper's threshold `t`, in percent.
@@ -50,19 +49,9 @@ impl LabelConfig {
 /// need the numeric order (fold sharding, group-indexed tables) must
 /// read the ids, not the map position.
 pub fn build_dataset(traces: &[TraceRecord], config: LabelConfig) -> (Dataset, BTreeMap<String, u32>) {
-    let mut groups: BTreeMap<String, u32> = BTreeMap::new();
-    for r in traces {
-        let next = u32::try_from(groups.len()).expect("benchmark counts fit u32");
-        groups.entry(r.benchmark.clone()).or_insert(next);
-    }
-    let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
-    let mut data = Dataset::new(attr_names, "list", "orig");
-    for r in traces {
-        if let Some(positive) = config.label(r) {
-            data.push(r.features.as_slice().to_vec(), positive, groups[&r.benchmark]);
-        }
-    }
-    (data, groups)
+    let mut set = TrainingSet::new(config);
+    set.extend(traces);
+    set.into_parts()
 }
 
 #[cfg(test)]

@@ -92,6 +92,6 @@ pub use trace::{
     collect_method_trace, collect_trace, collect_trace_with, filtered_schedule_pass, filtered_schedule_pass_with,
     for_each_unit, FilteredPass, ScopeUnit, ServedUnit, TimingMode, TraceOptions, TraceRecord, UnitServer,
 };
-pub use train::{train_filter, train_loocv, train_loocv_sharded, TrainConfig};
+pub use train::{train_filter, train_loocv, train_loocv_sharded, TrainConfig, TrainingSet};
 // The scope axis: formation lives in `wts_ir`, the pipeline threads it.
 pub use wts_ir::{form_superblocks, ScopeKind, Superblock};

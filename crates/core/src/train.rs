@@ -3,8 +3,10 @@
 
 use crate::learner::{Learner, LearnerKind};
 use crate::{build_dataset, LabelConfig, LearnedFilter, TraceRecord};
+use std::collections::BTreeMap;
+use wts_features::FeatureKind;
 use wts_ir::ScopeKind;
-use wts_ripper::leave_one_group_out;
+use wts_ripper::{leave_one_group_out, Dataset};
 
 /// Training configuration: labeling threshold + induction backend +
 /// scheduling scope.
@@ -49,32 +51,95 @@ impl TrainConfig {
     }
 }
 
-/// Trains a single filter on *all* the given traces ("at the factory",
-/// §3). Use [`train_loocv`] for the evaluation protocol.
+/// A labeled training set that grows in place: trace records are
+/// labeled and appended as they arrive, and every [`TrainingSet::train`]
+/// fits over the instances gathered so far.
 ///
-/// With the `verify` feature in a debug build, every trained artifact is
-/// run through the `wts-verify` model lint before it is returned — an
-/// incoherent rule set (shadowed rules, contradictory conjunctions,
-/// non-finite thresholds, demand-mask drift) panics here instead of
-/// misdeciding silently in production.
-pub fn train_filter(traces: &[TraceRecord], config: &TrainConfig) -> LearnedFilter {
-    let (data, _) = build_dataset(traces, config.label);
-    let rules = config.learner.fit(&data);
-    let filter = LearnedFilter::with_learner(rules, config.label.threshold_percent, config.filter_tag());
-    #[cfg(all(feature = "verify", debug_assertions))]
-    {
-        use crate::Filter;
-        let compiled = filter.compile();
-        let table = wts_verify::ModelTable::from_rule_set(filter.rules(), compiled.demand(), filter.name());
-        let diags = wts_verify::lint_model(&table);
-        assert!(
-            diags.is_empty(),
-            "train_filter produced an incoherent model for {}:\n{}",
-            filter.name(),
-            wts_verify::render(&diags)
-        );
+/// This is the one place records become learner instances:
+/// [`build_dataset`] and [`train_filter`] are one-shot uses of it, and a
+/// long-running retrainer keeps one and extends it, so a fold costs the
+/// fit alone rather than re-labeling the whole corpus, and the raw
+/// records need not be kept to train again. Group ids follow first-seen
+/// benchmark order, exactly as [`build_dataset`] documents, so a set
+/// extended record batch by record batch equals one built from the
+/// concatenated records.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrainingSet {
+    label: LabelConfig,
+    data: Dataset,
+    groups: BTreeMap<String, u32>,
+}
+
+impl TrainingSet {
+    /// An empty set labeling at `label`.
+    pub fn new(label: LabelConfig) -> TrainingSet {
+        let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
+        TrainingSet { label, data: Dataset::new(attr_names, "list", "orig"), groups: BTreeMap::new() }
     }
-    filter
+
+    /// Labels `traces` and appends the instances that survive the
+    /// threshold; records within `(0, t]`% benefit are dropped.
+    pub fn extend(&mut self, traces: &[TraceRecord]) {
+        for r in traces {
+            let group = match self.groups.get(&r.benchmark) {
+                Some(&g) => g,
+                None => {
+                    let next = u32::try_from(self.groups.len()).expect("benchmark counts fit u32");
+                    self.groups.insert(r.benchmark.clone(), next);
+                    next
+                }
+            };
+            if let Some(positive) = self.label.label(r) {
+                self.data.push(r.features.as_slice().to_vec(), positive, group);
+            }
+        }
+    }
+
+    /// The labeled instances and the `benchmark name -> group id`
+    /// mapping, as [`build_dataset`] returns them.
+    pub fn into_parts(self) -> (Dataset, BTreeMap<String, u32>) {
+        (self.data, self.groups)
+    }
+
+    /// Trains one filter on every instance gathered so far.
+    ///
+    /// With the `verify` feature in a debug build, every trained artifact is
+    /// run through the `wts-verify` model lint before it is returned — an
+    /// incoherent rule set (shadowed rules, contradictory conjunctions,
+    /// non-finite thresholds, demand-mask drift) panics here instead of
+    /// misdeciding silently in production.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.label` is not the threshold this set labels at.
+    pub fn train(&self, config: &TrainConfig) -> LearnedFilter {
+        assert_eq!(config.label, self.label, "the training set was labeled at another threshold");
+        let rules = config.learner.fit(&self.data);
+        let filter = LearnedFilter::with_learner(rules, config.label.threshold_percent, config.filter_tag());
+        #[cfg(all(feature = "verify", debug_assertions))]
+        {
+            use crate::Filter;
+            let compiled = filter.compile();
+            let table = wts_verify::ModelTable::from_rule_set(filter.rules(), compiled.demand(), filter.name());
+            let diags = wts_verify::lint_model(&table);
+            assert!(
+                diags.is_empty(),
+                "train_filter produced an incoherent model for {}:\n{}",
+                filter.name(),
+                wts_verify::render(&diags)
+            );
+        }
+        filter
+    }
+}
+
+/// Trains a single filter on *all* the given traces ("at the factory",
+/// §3). Use [`train_loocv`] for the evaluation protocol, and a
+/// [`TrainingSet`] to retrain as records keep arriving.
+pub fn train_filter(traces: &[TraceRecord], config: &TrainConfig) -> LearnedFilter {
+    let mut set = TrainingSet::new(config.label);
+    set.extend(traces);
+    set.train(config)
 }
 
 /// Leave-one-benchmark-out cross-validation: for each benchmark in the
@@ -188,6 +253,28 @@ mod tests {
         let t = traces();
         let c = TrainConfig::with_threshold(0);
         assert_eq!(train_filter(&t, &c), train_filter(&t, &c));
+    }
+
+    #[test]
+    fn a_training_set_extended_in_batches_equals_one_built_at_once() {
+        let t = traces();
+        for threshold in [0, 30] {
+            let config = TrainConfig::with_threshold(threshold);
+            let mut set = TrainingSet::new(config.label);
+            for chunk in t.chunks(77) {
+                set.extend(chunk);
+            }
+            assert_eq!(set.train(&config), train_filter(&t, &config));
+            assert_eq!(set.into_parts(), build_dataset(&t, config.label));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another threshold")]
+    fn a_training_set_refuses_a_config_at_another_threshold() {
+        let mut set = TrainingSet::new(LabelConfig::new(0));
+        set.extend(&traces());
+        set.train(&TrainConfig::with_threshold(10));
     }
 
     #[test]

@@ -19,6 +19,37 @@
 //!   positives are covered by another IREP* round. The pass runs `k`
 //!   times (default 2, like the original).
 //!
+//! # How a fit runs
+//!
+//! A fit first builds an attribute-major column store: for every
+//! attribute, each instance's rank among that attribute's sorted
+//! distinct values. All later work is integer work on those ranks.
+//!
+//! * **Grow** bins the covered grow instances of each attribute into a
+//!   (positives, negatives) histogram over ranks and visits the
+//!   non-empty bins in ascending order, instead of sorting the covered
+//!   set per attribute per step.
+//! * **Coverage** of each accepted or candidate rule over the whole
+//!   dataset is a bitset computed once, so the description length of a
+//!   rule list, the residual uncovered instances and the instances
+//!   pertinent to a rule under optimization are unions and popcounts.
+//! * **Prune** narrows the covered prune set one condition at a time,
+//!   and the grow/prune **split** shuffles instance indices by label
+//!   without copying instances.
+//!
+//! The output is bit-identical to a direct row-wise implementation
+//! (`tests/prop_fit_oracle.rs` keeps one as the oracle). A condition's
+//! threshold is always a value of the data, so `value <= t` holds
+//! exactly when `rank <= rank(t)`. A histogram bin holds exactly the
+//! instances of one run of equal values in the covered set sorted by
+//! value, so prefix counts, FOIL gains, their evaluation order (attribute,
+//! then ascending value, `<=` before `>=`, strict `>` for ties) and
+//! every description length come out the same, down to the floating
+//! point operations. The one value equality does not pin is the sign of
+//! zero: `-0.0` and `+0.0` share a rank, and the threshold taken for that
+//! bin is the zero of its first instance in grow-set order, as a stable
+//! sort would place it.
+//!
 //! Baseline learners (majority class, 1R, decision stump, a small
 //! depth-limited decision tree) and evaluation utilities (confusion
 //! matrices, leave-one-group-out cross-validation, geometric means) live
@@ -41,6 +72,7 @@
 //! ```
 
 mod baseline;
+mod columns;
 mod cv;
 mod data;
 mod grow;

@@ -1,7 +1,8 @@
 //! The RIPPER training loop: IREP* + MDL stopping + optimization passes.
 
+use crate::columns::{index, Bits, Columns};
 use crate::data::{stratified_split, Dataset};
-use crate::grow::{coverage, grow_from, grow_rule, prune_metric, prune_rule, Cover};
+use crate::grow::{count, matches, prune, Grower, RankedCondition};
 use crate::mdl::{total_dl, DL_BUDGET};
 use crate::rule::{Rule, RuleSet};
 
@@ -38,73 +39,92 @@ impl RipperConfig {
     /// Panics if `grow_fraction` is not in `(0, 1)`.
     pub fn fit(&self, data: &Dataset) -> RuleSet {
         assert!(self.grow_fraction > 0.0 && self.grow_fraction < 1.0, "grow fraction must be in (0,1)");
-        let mut state = Fit { cfg: self.clone(), data, split_counter: 0 };
-        state.run()
+        if data.negatives() == 0 && data.positives() > 0 {
+            // Degenerate single-class data: an always-true rule.
+            return finish(data, vec![Rule::new()]);
+        }
+        let cols = Columns::new(data);
+        let mut state = Fit { cfg: self, cols: &cols, grower: Grower::new(&cols), split_counter: 0 };
+        let rules = state.run();
+        finish(
+            data,
+            rules.into_iter().map(|r| Rule::from_conditions(r.conds.iter().map(|c| c.cond).collect())).collect(),
+        )
     }
 }
 
-struct Fit<'d> {
-    cfg: RipperConfig,
-    data: &'d Dataset,
+fn finish(data: &Dataset, rules: Vec<Rule>) -> RuleSet {
+    let (stats, default_stats) = crate::rule::attribute_stats(&rules, data);
+    RuleSet::new(data.attr_names().to_vec(), data.pos_label(), data.neg_label(), rules, stats, default_stats)
+}
+
+/// A rule and the instances of the whole dataset it covers.
+#[derive(Debug, Clone)]
+struct CoveredRule {
+    conds: Vec<RankedCondition>,
+    cover: Bits,
+}
+
+struct Fit<'a> {
+    cfg: &'a RipperConfig,
+    cols: &'a Columns<'a>,
+    grower: Grower<'a>,
     split_counter: u64,
 }
 
-impl<'d> Fit<'d> {
-    /// Every instance index of the dataset, as the u32 indices the grow
-    /// and prune sets use.
-    fn all_indices(&self) -> Vec<u32> {
-        (0..u32::try_from(self.data.len()).expect("dataset sizes fit u32")).collect()
-    }
-
-    fn run(&mut self) -> RuleSet {
-        let all = self.all_indices();
-        if self.data.negatives() == 0 && self.data.positives() > 0 {
-            // Degenerate single-class data: an always-true rule.
-            return self.finish(vec![Rule::new()]);
-        }
-        let mut rules = self.irep_star(&all, Vec::new());
+impl Fit<'_> {
+    fn run(&mut self) -> Vec<CoveredRule> {
+        let all: Vec<u32> = (0..index(self.cols.len())).collect();
+        let mut rules = self.irep_star(all, Vec::new());
 
         for _round in 0..self.cfg.optimization_rounds {
             rules = self.optimize(rules);
             // Cover residual positives with additional rules.
-            let uncovered: Vec<u32> = self.uncovered(&rules, &all);
+            let uncovered = self.union(&rules).absent();
             if self.has_positives(&uncovered) {
-                rules = self.irep_star(&uncovered, rules);
+                rules = self.irep_star(uncovered, rules);
             }
             rules = self.delete_harmful(rules);
         }
+        rules
+    }
 
-        self.finish(rules)
+    /// The rule with its coverage of every instance, computed once.
+    fn covered(&self, conds: Vec<RankedCondition>) -> CoveredRule {
+        let mut cover = Bits::ones(self.cols.len());
+        for c in &conds {
+            cover.intersect_with(&self.cols.select(c.cond.attr, c.cond.op, c.rank));
+        }
+        CoveredRule { conds, cover }
     }
 
     /// Grows rules until MDL or error stopping, starting from `existing`
     /// (whose coverage has already been removed from `remaining`).
-    fn irep_star(&mut self, remaining: &[u32], mut rules: Vec<Rule>) -> Vec<Rule> {
-        let all = self.all_indices();
-        let mut remaining: Vec<u32> = remaining.to_vec();
-        let mut min_dl = self.ruleset_dl(&rules, &all);
+    fn irep_star(&mut self, mut remaining: Vec<u32>, mut rules: Vec<CoveredRule>) -> Vec<CoveredRule> {
+        let mut min_dl = self.ruleset_dl(&rules);
 
         while self.has_positives(&remaining) {
-            let (grow, prune) = self.split(&remaining);
-            let mut rule = grow_rule(self.data, &grow);
+            let (grow, prune_set) = self.split(&remaining);
+            let mut rule = self.grower.grow(Vec::new(), &grow);
             if rule.is_empty() {
                 break;
             }
-            rule = prune_rule(rule, self.data, &prune);
+            rule = prune(rule, self.cols, &prune_set);
             // Reject rules whose error on the pruning data exceeds 50%.
-            let c = coverage(&rule, self.data, &prune);
+            let covered: Vec<u32> = prune_set.iter().copied().filter(|&i| matches(self.cols, &rule, i)).collect();
+            let c = count(self.cols, &covered);
             if c.n > c.p {
                 break;
             }
-            rules.push(rule);
-            let dl = self.ruleset_dl(&rules, &all);
+            rules.push(self.covered(rule));
+            let dl = self.ruleset_dl(&rules);
             if dl > min_dl + DL_BUDGET {
                 rules.pop();
                 break;
             }
             min_dl = min_dl.min(dl);
-            let newest = rules.last().expect("just pushed");
-            remaining.retain(|&i| !newest.matches(&self.data.instances()[i as usize].values));
+            let newest = &rules.last().expect("just pushed").cover;
+            remaining.retain(|&i| !newest.contains(i));
         }
         rules
     }
@@ -112,41 +132,33 @@ impl<'d> Fit<'d> {
     /// One optimization pass: reconsider each rule against a re-grown
     /// replacement and a greedily-extended revision, keeping the variant
     /// whose rule set has the smallest description length.
-    fn optimize(&mut self, mut rules: Vec<Rule>) -> Vec<Rule> {
-        let all = self.all_indices();
+    fn optimize(&mut self, mut rules: Vec<CoveredRule>) -> Vec<CoveredRule> {
         for i in 0..rules.len() {
             // Instances not claimed by earlier rules are what rule i sees.
-            let pertinent: Vec<u32> = all
-                .iter()
-                .copied()
-                .filter(|&x| {
-                    let v = &self.data.instances()[x as usize].values;
-                    !rules[..i].iter().any(|r| r.matches(v))
-                })
-                .collect();
+            let pertinent = self.union(&rules[..i]).absent();
             if !self.has_positives(&pertinent) {
                 continue;
             }
-            let (grow, prune) = self.split(&pertinent);
+            let (grow, prune_set) = self.split(&pertinent);
 
-            let mut replacement = grow_rule(self.data, &grow);
+            let mut replacement = self.grower.grow(Vec::new(), &grow);
             if !replacement.is_empty() {
-                replacement = prune_rule(replacement, self.data, &prune);
+                replacement = prune(replacement, self.cols, &prune_set);
             }
-            let mut revision = grow_from(rules[i].clone(), self.data, &grow);
+            let mut revision = self.grower.grow(rules[i].conds.clone(), &grow);
             if !revision.is_empty() {
-                revision = prune_rule(revision, self.data, &prune);
+                revision = prune(revision, self.cols, &prune_set);
             }
 
             let mut best = rules.clone();
-            let mut best_dl = self.ruleset_dl(&rules, &all);
+            let mut best_dl = self.ruleset_dl(&rules);
             for candidate in [replacement, revision] {
                 if candidate.is_empty() {
                     continue;
                 }
                 let mut variant = rules.clone();
-                variant[i] = candidate;
-                let dl = self.ruleset_dl(&variant, &all);
+                variant[i] = self.covered(candidate);
+                let dl = self.ruleset_dl(&variant);
                 if dl < best_dl {
                     best_dl = dl;
                     best = variant;
@@ -158,13 +170,12 @@ impl<'d> Fit<'d> {
     }
 
     /// Removes rules whose deletion lowers the total description length.
-    fn delete_harmful(&mut self, mut rules: Vec<Rule>) -> Vec<Rule> {
-        let all = self.all_indices();
+    fn delete_harmful(&mut self, mut rules: Vec<CoveredRule>) -> Vec<CoveredRule> {
         let mut i = 0;
         while i < rules.len() {
-            let with = self.ruleset_dl(&rules, &all);
+            let with = self.ruleset_dl(&rules);
             let removed = rules.remove(i);
-            let without = self.ruleset_dl(&rules, &all);
+            let without = self.ruleset_dl(&rules);
             if with <= without {
                 rules.insert(i, removed);
                 i += 1;
@@ -173,78 +184,36 @@ impl<'d> Fit<'d> {
         rules
     }
 
-    fn finish(&self, rules: Vec<Rule>) -> RuleSet {
-        let (stats, default_stats) = crate::rule::attribute_stats(&rules, self.data);
-        RuleSet::new(
-            self.data.attr_names().to_vec(),
-            self.data.pos_label(),
-            self.data.neg_label(),
-            rules,
-            stats,
-            default_stats,
-        )
-    }
-
-    /// Description length of a rule list over the instances `idx`.
-    fn ruleset_dl(&self, rules: &[Rule], idx: &[u32]) -> f64 {
-        let mut covered = 0usize;
-        let mut fp = 0usize;
-        let mut uncovered = 0usize;
-        let mut fn_ = 0usize;
-        for &i in idx {
-            let inst = &self.data.instances()[i as usize];
-            if rules.iter().any(|r| r.matches(&inst.values)) {
-                covered += 1;
-                if !inst.positive {
-                    fp += 1;
-                }
-            } else {
-                uncovered += 1;
-                if inst.positive {
-                    fn_ += 1;
-                }
-            }
+    /// The instances any of `rules` covers.
+    fn union(&self, rules: &[CoveredRule]) -> Bits {
+        let mut union = Bits::zeros(self.cols.len());
+        for r in rules {
+            union.union_with(&r.cover);
         }
-        let counts: Vec<usize> = rules.iter().map(Rule::len).collect();
-        total_dl(&counts, self.data.attr_count(), covered, fp, uncovered, fn_)
+        union
     }
 
-    fn uncovered(&self, rules: &[Rule], idx: &[u32]) -> Vec<u32> {
-        idx.iter()
-            .copied()
-            .filter(|&i| !rules.iter().any(|r| r.matches(&self.data.instances()[i as usize].values)))
-            .collect()
+    /// Description length of a rule list over the whole dataset.
+    fn ruleset_dl(&self, rules: &[CoveredRule]) -> f64 {
+        let union = self.union(rules);
+        let covered = union.count();
+        let true_positives = union.count_and(self.cols.positives());
+        let fp = covered - true_positives;
+        let uncovered = self.cols.len() - covered;
+        let fn_ = self.cols.positives().count() - true_positives;
+        let counts: Vec<usize> = rules.iter().map(|r| r.conds.len()).collect();
+        total_dl(&counts, self.cols.attr_count(), covered, fp, uncovered, fn_)
     }
 
     fn has_positives(&self, idx: &[u32]) -> bool {
-        idx.iter().any(|&i| self.data.instances()[i as usize].positive)
+        idx.iter().any(|&i| self.cols.positive(i))
     }
 
     /// Deterministic stratified split of `idx` into (grow, prune).
     fn split(&mut self, idx: &[u32]) -> (Vec<u32>, Vec<u32>) {
         self.split_counter += 1;
-        let insts: Vec<_> = idx.iter().map(|&i| self.data.instances()[i as usize].clone()).collect();
-        let (g, p) = stratified_split(&insts, self.cfg.grow_fraction, self.cfg.seed ^ self.split_counter);
-        (g.into_iter().map(|k| idx[k]).collect(), p.into_iter().map(|k| idx[k]).collect())
+        stratified_split(idx, |i| self.cols.positive(i), self.cfg.grow_fraction, self.cfg.seed ^ self.split_counter)
     }
-}
-
-/// Convenience: the IREP* pruning-phase worth of a whole rule set, used by
-/// tests to sanity-check monotonicity (exposed for the crate only).
-#[allow(dead_code)]
-pub(crate) fn ruleset_worth(rules: &[Rule], data: &Dataset, idx: &[u32]) -> f64 {
-    let mut c = Cover::default();
-    for &i in idx {
-        let inst = &data.instances()[i as usize];
-        if rules.iter().any(|r| r.matches(&inst.values)) {
-            if inst.positive {
-                c.p += 1;
-            } else {
-                c.n += 1;
-            }
-        }
-    }
-    prune_metric(c)
 }
 
 #[cfg(test)]

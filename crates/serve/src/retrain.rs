@@ -9,10 +9,19 @@
 //! labeled records — exactly the ones the offline pipeline would have
 //! collected, so an online-retrained filter and an offline-trained one
 //! see the same training distribution.
+//!
+//! The records are labeled once, as they arrive, into an incremental
+//! [`TrainingSet`] seeded with the seed corpus; a fold trains on that
+//! set, so its cost is the fit alone and the filter it publishes is the
+//! one [`train_filter`](wts_core::train_filter) would train on the seed
+//! traces followed by every absorbed record. The raw [`TraceRecord`]s
+//! are kept only when `ServeConfig::persist_corpus` asks for them to be
+//! written at shutdown; otherwise each batch's records are dropped as
+//! soon as they are labeled.
 
 use crate::server::ServeConfig;
 use std::sync::mpsc::Receiver;
-use wts_core::{collect_method_trace, train_filter, write_trace_binary, FilterKey, FilterStore, TraceRecord};
+use wts_core::{collect_method_trace, write_trace_binary, FilterKey, FilterStore, TraceRecord, TrainingSet};
 use wts_ir::Method;
 
 /// What the retraining thread did over the instance's lifetime.
@@ -34,27 +43,37 @@ pub struct RetrainReport {
 }
 
 /// Runs until every sender hangs up, then performs a final fold if any
-/// records are pending and returns the tally.
+/// records are pending and returns the tally. `training` holds the
+/// labeled seed corpus; `corpus` holds its raw records when the config
+/// persists the corpus, and is `None` otherwise.
 pub(crate) fn retrain_loop(
     rx: &Receiver<(String, Vec<Method>)>,
     store: &FilterStore,
     key: &FilterKey,
     config: &ServeConfig,
+    mut training: TrainingSet,
+    mut corpus: Option<Vec<TraceRecord>>,
 ) -> RetrainReport {
     let options = config.options;
     let train_config = config.train_config();
-    let mut corpus: Vec<TraceRecord> = config.seed_traces.clone();
     let mut pending = 0usize;
     let mut report = RetrainReport::default();
+    let fold = |training: &TrainingSet, report: &mut RetrainReport| {
+        report.last_epoch = store.swap(key.clone(), training.train(&train_config)).epoch();
+        report.retrains += 1;
+    };
     while let Ok((benchmark, methods)) = rx.recv() {
         for method in &methods {
             let records = collect_method_trace(&benchmark, method, &config.machine, &options);
             report.records_absorbed += records.len() as u64;
             pending += records.len();
-            corpus.extend(records);
+            training.extend(&records);
+            if let Some(corpus) = &mut corpus {
+                corpus.extend(records);
+            }
         }
         if config.retrain_every > 0 && pending >= config.retrain_every {
-            fold(store, key, &train_config, &corpus, &mut report);
+            fold(&training, &mut report);
             pending = 0;
         }
     }
@@ -62,10 +81,10 @@ pub(crate) fn retrain_loop(
     // arrived since the last fold still deserve to influence the filter
     // a restarted instance would seed from.
     if config.retrain_every > 0 && pending > 0 {
-        fold(store, key, &train_config, &corpus, &mut report);
+        fold(&training, &mut report);
     }
-    if let Some(path) = &config.persist_corpus {
-        report.records_persisted = persist(path, &corpus);
+    if let (Some(path), Some(corpus)) = (&config.persist_corpus, &corpus) {
+        report.records_persisted = persist(path, corpus);
     }
     report
 }
@@ -89,16 +108,4 @@ fn persist(path: &std::path::Path, corpus: &[TraceRecord]) -> u64 {
             0
         }
     }
-}
-
-fn fold(
-    store: &FilterStore,
-    key: &FilterKey,
-    train_config: &wts_core::TrainConfig,
-    corpus: &[TraceRecord],
-    report: &mut RetrainReport,
-) {
-    let filter = train_filter(corpus, train_config);
-    report.last_epoch = store.swap(key.clone(), filter).epoch();
-    report.retrains += 1;
 }

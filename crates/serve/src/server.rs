@@ -42,8 +42,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wts_core::{
-    for_each_unit, train_filter, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TimingMode,
-    TraceOptions, TraceRecord, TrainConfig, UnitServer,
+    for_each_unit, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TimingMode, TraceOptions,
+    TraceRecord, TrainConfig, TrainingSet, UnitServer,
 };
 use wts_ir::Method;
 
@@ -197,7 +197,7 @@ impl Server {
     /// [`CompileSession`](../../wts_jit/struct.CompileSession.html).
     pub fn bind_with_store(
         addr: impl ToSocketAddrs,
-        config: ServeConfig,
+        mut config: ServeConfig,
         store: Arc<FilterStore>,
     ) -> io::Result<ServerHandle> {
         if config.seed_traces.is_empty() {
@@ -210,7 +210,15 @@ impl Server {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "workers and queue_depth must both be at least 1"));
         }
         let key = config.filter_key();
-        store.deployed_or_train(key.clone(), || train_filter(&config.seed_traces, &config.train_config()));
+        // The seed corpus is labeled once: it trains the epoch-1 filter
+        // and then seeds the retrainer's incremental training set. Its
+        // raw records stay alive only when they are to be persisted.
+        let train_config = config.train_config();
+        let mut training = TrainingSet::new(train_config.label);
+        training.extend(&config.seed_traces);
+        store.deployed_or_train(key.clone(), || training.train(&train_config));
+        let seed_traces = std::mem::take(&mut config.seed_traces);
+        let corpus = config.persist_corpus.is_some().then_some(seed_traces);
 
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -218,8 +226,6 @@ impl Server {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth);
         let (retrain_tx, retrain_rx) = mpsc::sync_channel::<(String, Vec<Method>)>(config.queue_depth);
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -240,19 +246,15 @@ impl Server {
             let store = Arc::clone(&store);
             let config = config.clone();
             let key = key.clone();
-            std::thread::spawn(move || retrain_loop(&retrain_rx, &store, &key, &config))
+            std::thread::spawn(move || retrain_loop(&retrain_rx, &store, &key, &config, training, corpus))
         };
 
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
             let counters = Arc::clone(&counters);
-            let conns = Arc::clone(&conns);
-            let readers = Arc::clone(&readers);
             let job_tx = job_tx.clone();
             let queue_depth = config.queue_depth;
-            std::thread::spawn(move || {
-                accept_loop(&listener, &shutdown, &counters, &conns, &readers, &job_tx, queue_depth);
-            })
+            std::thread::spawn(move || accept_loop(&listener, &shutdown, &counters, &job_tx, queue_depth))
         };
 
         Ok(ServerHandle {
@@ -261,8 +263,6 @@ impl Server {
             key,
             shutdown,
             counters,
-            conns,
-            readers,
             job_tx: Some(job_tx),
             acceptor: Some(acceptor),
             workers,
@@ -279,10 +279,9 @@ pub struct ServerHandle {
     key: FilterKey,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     job_tx: Option<SyncSender<Job>>,
-    acceptor: Option<JoinHandle<()>>,
+    /// Returns the connections still open when it stops accepting.
+    acceptor: Option<JoinHandle<Vec<Connection>>>,
     workers: Vec<JoinHandle<()>>,
     retrainer: Option<JoinHandle<RetrainReport>>,
 }
@@ -320,18 +319,15 @@ impl ServerHandle {
     /// threads joined.
     pub fn shutdown(mut self) -> ServeReport {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            acceptor.join().expect("acceptor thread panicked");
-        }
+        let conns = self.acceptor.take().expect("shutdown runs once").join().expect("acceptor thread panicked");
         // Half-close the read side of every connection: readers see EOF
         // after the frame they are currently decoding, while responses
         // to already-queued batches still go out on the write side.
-        for conn in self.conns.lock().expect("connection registry poisoned").iter() {
-            let _ = conn.shutdown(Shutdown::Read);
+        for conn in &conns {
+            let _ = conn.stream.shutdown(Shutdown::Read);
         }
-        let readers = std::mem::take(&mut *self.readers.lock().expect("reader registry poisoned"));
-        for reader in readers {
-            reader.join().expect("reader thread panicked");
+        for conn in conns {
+            conn.reader.join().expect("reader thread panicked");
         }
         // Closing the job queue lets the workers drain what was accepted
         // and then exit; their retrain senders drop with them, which in
@@ -345,16 +341,36 @@ impl ServerHandle {
     }
 }
 
+/// An open connection: a clone of its socket, kept so shutdown can
+/// half-close it, and the reader thread serving it.
+#[derive(Debug)]
+struct Connection {
+    stream: TcpStream,
+    reader: JoinHandle<()>,
+}
+
+/// Accepts until shutdown, then returns the connections still open.
+/// Each pass first joins the readers whose clients hung up and drops
+/// their socket clones, so a long-lived instance holds descriptors and
+/// threads for its open connections only, not for every connection it
+/// ever accepted.
 fn accept_loop(
     listener: &TcpListener,
     shutdown: &AtomicBool,
     counters: &Arc<Counters>,
-    conns: &Mutex<Vec<TcpStream>>,
-    readers: &Mutex<Vec<JoinHandle<()>>>,
     job_tx: &SyncSender<Job>,
     queue_depth: usize,
-) {
+) -> Vec<Connection> {
+    let mut conns: Vec<Connection> = Vec::new();
     while !shutdown.load(Ordering::SeqCst) {
+        let mut i = 0;
+        while i < conns.len() {
+            if conns[i].reader.is_finished() {
+                conns.swap_remove(i).reader.join().expect("reader thread panicked");
+            } else {
+                i += 1;
+            }
+        }
         match listener.accept() {
             Ok((stream, _)) => {
                 counters.connections.fetch_add(1, Ordering::Relaxed);
@@ -364,12 +380,11 @@ fn accept_loop(
                 // and every round trip eats ~40ms.
                 let _ = stream.set_nodelay(true);
                 let registered = stream.try_clone().expect("clone connection for shutdown registry");
-                conns.lock().expect("connection registry poisoned").push(registered);
                 let writer = Arc::new(Mutex::new(stream.try_clone().expect("clone connection for writes")));
                 let job_tx = job_tx.clone();
                 let counters = Arc::clone(counters);
-                let handle = std::thread::spawn(move || reader_loop(stream, &writer, &job_tx, queue_depth, &counters));
-                readers.lock().expect("reader registry poisoned").push(handle);
+                let reader = std::thread::spawn(move || reader_loop(stream, &writer, &job_tx, queue_depth, &counters));
+                conns.push(Connection { stream: registered, reader });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -378,6 +393,7 @@ fn accept_loop(
             Err(_) => break,
         }
     }
+    conns
 }
 
 fn respond(conn: &Mutex<TcpStream>, resp: &Response) {

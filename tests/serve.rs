@@ -4,9 +4,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use wts_core::{
-    collect_trace_with, filtered_schedule_pass_with, train_filter, DecisionPolicy, LearnerKind, ScopeKind, TimingMode,
-    TraceOptions, TraceRecord,
+    collect_method_trace, collect_trace_with, filtered_schedule_pass_with, train_filter, DecisionPolicy, LearnerKind,
+    ScopeKind, TimingMode, TraceOptions, TraceRecord,
 };
 use wts_ir::Program;
 use wts_machine::MachineConfig;
@@ -304,5 +305,95 @@ fn handle_reports_address_key_and_stats() {
     // Empty seeds are rejected up front, not at first request.
     let err = Server::bind("127.0.0.1:0", stump_config(&machine, Vec::new(), 0)).expect_err("empty seed");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    handle.shutdown();
+}
+
+/// Online retraining is offline training on the same records: one
+/// worker and one client sending requests in sequence fix the order the
+/// retrainer absorbs served methods in, and with a cadence longer than
+/// the run the only fold is the final drain fold. Its filter must be
+/// the one `train_filter` trains on the seed traces followed by every
+/// served method re-traced, whether or not the raw corpus is kept for
+/// persistence.
+#[test]
+fn retrainer_fold_equals_offline_training() {
+    let machine = MachineConfig::ppc7410();
+    let programs = wts_core::testutil::learnable_suite(3);
+    let opts = options();
+    let seed = corpus(&programs, &machine, &opts);
+    for persist in [false, true] {
+        let path = std::env::temp_dir().join(format!("wts-serve-fold-{}.bin", std::process::id()));
+        let mut config = ServeConfig::new(machine.clone(), seed.clone());
+        config.workers = 1;
+        config.retrain_every = usize::MAX;
+        config.persist_corpus = persist.then(|| path.clone());
+        let train_config = config.train_config();
+        let handle = Server::bind("127.0.0.1:0", config).expect("bind");
+        let (store, key) = (Arc::clone(handle.store()), handle.key().clone());
+
+        let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+        let mut offline = seed.clone();
+        for round in 0..2usize {
+            for (i, program) in programs.iter().enumerate() {
+                let id = (round * programs.len() + i) as u64;
+                expect_batch(client.request(id, program.name(), program.methods()).expect("request"));
+                for method in program.methods() {
+                    offline.extend(collect_method_trace(program.name(), method, &machine, &opts));
+                }
+            }
+        }
+        drop(client);
+        let report = handle.shutdown();
+        std::fs::remove_file(&path).ok();
+
+        assert_eq!(report.retrain.retrains, 1, "only the drain fold ran");
+        assert_eq!(report.retrain.records_absorbed as usize, offline.len() - seed.len());
+        let served = store.get(&key).expect("the drain fold published");
+        assert_eq!(served.epoch(), 2);
+        assert_eq!(served.source(), &train_filter(&offline, &train_config), "persist_corpus = {persist}");
+        let persisted = if persist { offline.len() as u64 } else { 0 };
+        assert_eq!(report.retrain.records_persisted, persisted);
+    }
+}
+
+/// Open descriptors of this process. Other tests in this binary open
+/// and close sockets concurrently, so callers compare with slack.
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").expect("procfs lists this process's descriptors").count()
+}
+
+/// A closed connection releases its socket clones and its reader thread
+/// while the server keeps running, not only at shutdown: after 64
+/// connections open, serve one batch and close, the descriptor count
+/// returns to where it started.
+#[test]
+fn closed_connections_release_their_descriptors() {
+    if std::fs::metadata("/proc/self/fd").is_err() {
+        eprintln!("skipped: no /proc/self/fd on this platform");
+        return;
+    }
+    let machine = MachineConfig::ppc7410();
+    let programs = wts_core::testutil::learnable_suite(1);
+    let opts = options();
+    let handle =
+        Server::bind("127.0.0.1:0", stump_config(&machine, corpus(&programs, &machine, &opts), 0)).expect("bind");
+    let program = &programs[0];
+    let before = open_fds();
+    for i in 0..64u64 {
+        let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+        expect_batch(client.request(i, program.name(), program.methods()).expect("request"));
+    }
+    assert_eq!(handle.stats().connections, 64);
+    // Readers notice the hang-ups and the acceptor reaps them within a
+    // few of its 2 ms polls; allow generous time, then demand that the
+    // 64 connections left no descriptor behind beyond the slack other
+    // tests' sockets may take up meanwhile.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut after = open_fds();
+    while after > before + 24 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        after = open_fds();
+    }
+    assert!(after <= before + 24, "closed connections leaked descriptors: {before} open before, {after} after");
     handle.shutdown();
 }
