@@ -194,7 +194,8 @@ pub struct GraphBuilder {
     /// `(reader index, next pool slot)`.
     reader_pool: Vec<(u32, u32)>,
     stores: Vec<u32>,
-    loads_since_store: Vec<u32>,
+    /// Loads no store has covered yet; see [`wts_ir::MemRef::covers`].
+    pending_loads: Vec<u32>,
     since_barrier: Vec<u32>,
     last_edges: usize,
 }
@@ -211,7 +212,7 @@ impl GraphBuilder {
             readers: Vec::new(),
             reader_pool: Vec::new(),
             stores: Vec::new(),
-            loads_since_store: Vec::new(),
+            pending_loads: Vec::new(),
             since_barrier: Vec::new(),
             last_edges: 0,
         }
@@ -250,7 +251,7 @@ impl GraphBuilder {
         self.edges.clear();
         self.reader_pool.clear();
         self.stores.clear();
-        self.loads_since_store.clear();
+        self.pending_loads.clear();
         self.since_barrier.clear();
         // Control transfers and hazardous instructions are reorder
         // barriers: chain everything between consecutive barriers. In
@@ -301,13 +302,23 @@ impl GraphBuilder {
                     }
                 }
                 if op.is_store() {
-                    for k in 0..self.loads_since_store.len() {
-                        let l = self.loads_since_store[k];
+                    // A store orders after every aliasing pending load, and
+                    // retires the loads it covers: any later store that
+                    // aliases such a load aliases this store too, so the
+                    // order holds through the store-to-store edge.
+                    let mut kept = 0;
+                    for k in 0..self.pending_loads.len() {
+                        let l = self.pending_loads[k];
                         let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
                         if m.may_alias(lm) {
                             self.edge(l, i, DepKind::Memory);
                         }
+                        if !m.covers(lm) {
+                            self.pending_loads[kept] = l;
+                            kept += 1;
+                        }
                     }
+                    self.pending_loads.truncate(kept);
                 }
             }
 
@@ -364,9 +375,8 @@ impl GraphBuilder {
             }
             if op.is_store() {
                 self.stores.push(i);
-                self.loads_since_store.clear();
             } else if op.is_load() {
-                self.loads_since_store.push(i);
+                self.pending_loads.push(i);
             }
         }
         self.finish(n, out);
@@ -509,6 +519,36 @@ mod tests {
     fn store_after_load_is_ordered() {
         let g = DepGraph::build(&[load(2, 0), store(1, 0)]);
         assert_eq!(g.edge_kind(0, 1), Some(DepKind::Memory));
+    }
+
+    #[test]
+    fn store_to_another_slot_does_not_retire_a_pending_load() {
+        // lwz [heap+0]; stw [heap+8]; stw [heap+0]: the middle store does
+        // not alias the load, so the load must still order before the
+        // last store. Clearing every pending load at each store left no
+        // path 0 -> 2 and let [2, 0, 1] pass as legal.
+        let g = DepGraph::build(&[load(3, 0), store(4, 8), store(5, 0)]);
+        assert_eq!(g.edge_kind(0, 2), Some(DepKind::Memory));
+        assert!(!g.respects(&[2, 0, 1]));
+    }
+
+    #[test]
+    fn known_slot_store_does_not_retire_an_unknown_load() {
+        // The store to slot 0 aliases the unknown load but does not cover
+        // it: a later store to slot 8 aliases the load and not the store.
+        let unknown = Inst::new(Opcode::Lwz).def(Reg::gpr(3)).use_(Reg::gpr(30)).mem(MemRef::unknown(MemSpace::Heap));
+        let g = DepGraph::build(&[unknown, store(4, 0), store(5, 8)]);
+        assert!(g.has_edge(0, 1));
+        assert_eq!(g.edge_kind(0, 2), Some(DepKind::Memory));
+    }
+
+    #[test]
+    fn covering_store_retires_the_load() {
+        // The second store covers the load, so the third store orders
+        // after the load through the store-to-store edge alone.
+        let g = DepGraph::build(&[load(3, 0), store(4, 0), store(5, 0)]);
+        assert!(g.has_edge(0, 1) && g.has_edge(1, 2));
+        assert!(!g.has_edge(0, 2), "the covered load needs no direct edge");
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl OracleBuilder {
         let mut last_def: HashMap<Reg, u32> = HashMap::new();
         let mut uses_since_def: HashMap<Reg, Vec<u32>> = HashMap::new();
         let mut stores: Vec<u32> = Vec::new();
-        let mut loads_since_store: Vec<u32> = Vec::new();
+        let mut pending_loads: Vec<u32> = Vec::new();
         let mut last_barrier: Option<u32> = None;
         let mut since_barrier: Vec<u32> = Vec::new();
         let mut last_branch: Option<u32> = None;
@@ -82,12 +82,18 @@ impl OracleBuilder {
                     }
                 }
                 if op.is_store() {
-                    for &l in &loads_since_store {
+                    for &l in &pending_loads {
                         let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
                         if m.may_alias(lm) {
                             self.edge(l, i, DepKind::Memory);
                         }
                     }
+                    // The store retires the loads it covers: it aliases
+                    // them, and its slot is unknown or theirs is known.
+                    pending_loads.retain(|&l| {
+                        let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
+                        !(m.may_alias(lm) && (m.slot_id().is_none() || lm.slot_id().is_some()))
+                    });
                 }
             }
 
@@ -138,9 +144,8 @@ impl OracleBuilder {
             }
             if op.is_store() {
                 stores.push(i);
-                loads_since_store.clear();
             } else if op.is_load() {
-                loads_since_store.push(i);
+                pending_loads.push(i);
             }
         }
         OracleGraph { preds: self.preds, succs: self.succs }

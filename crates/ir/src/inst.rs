@@ -68,6 +68,27 @@ impl MemRef {
                 _ => true,
             }
     }
+
+    /// True when every reference that may alias `other` also may alias
+    /// `self`: the two may alias, and either `self`'s slot is unknown or
+    /// `other`'s slot is known.
+    ///
+    /// Dependence scans use it to retire a pending load at a store: once
+    /// a store that covers the load is ordered after it, every later
+    /// store aliasing the load aliases that store too, so the order
+    /// holds through the store-to-store edge.
+    ///
+    /// ```
+    /// use wts_ir::{MemRef, MemSpace};
+    /// let s0 = MemRef::slot(MemSpace::Heap, 0);
+    /// let any = MemRef::unknown(MemSpace::Heap);
+    /// assert!(any.covers(s0) && s0.covers(s0));
+    /// assert!(!s0.covers(any), "a store to slot 8 aliases `any` but not slot 0");
+    /// assert!(!s0.covers(MemRef::slot(MemSpace::Heap, 8)));
+    /// ```
+    pub fn covers(self, other: MemRef) -> bool {
+        self.may_alias(other) && (self.slot.is_none() || other.slot.is_some())
+    }
 }
 
 impl fmt::Display for MemRef {

@@ -52,7 +52,7 @@ fn scan_deps(insts: &[Inst]) -> SimDeps {
     let mut last_def: HashMap<Reg, u32> = HashMap::new();
     let mut uses_since_def: HashMap<Reg, Vec<u32>> = HashMap::new();
     let mut stores: Vec<u32> = Vec::new();
-    let mut loads_since_store: Vec<u32> = Vec::new();
+    let mut pending_loads: Vec<u32> = Vec::new();
     let mut last_barrier: Option<u32> = None;
     let mut since_barrier: Vec<u32> = Vec::new();
 
@@ -88,12 +88,14 @@ fn scan_deps(insts: &[Inst]) -> SimDeps {
                 }
             }
             if op.is_store() {
-                for &l in &loads_since_store {
+                for &l in &pending_loads {
                     let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
                     if m.may_alias(lm) {
                         deps.issue[idx].push(l);
                     }
                 }
+                // Covered loads stay ordered through this store.
+                pending_loads.retain(|&l| !m.covers(insts[l as usize].mem_ref().expect("loads carry mem refs")));
             }
         }
         // Serializing instructions.
@@ -116,9 +118,8 @@ fn scan_deps(insts: &[Inst]) -> SimDeps {
         }
         if op.is_store() {
             stores.push(i);
-            loads_since_store.clear();
         } else if op.is_load() {
-            loads_since_store.push(i);
+            pending_loads.push(i);
         }
     }
     deps

@@ -51,7 +51,7 @@ pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, Dep
     let mut last_def: HashMap<Reg, usize> = HashMap::new();
     let mut readers: HashMap<Reg, Vec<usize>> = HashMap::new();
     let mut stores: Vec<usize> = Vec::new();
-    let mut loads_since_store: Vec<usize> = Vec::new();
+    let mut pending_loads: Vec<usize> = Vec::new();
     let mut since_barrier: Vec<usize> = Vec::new();
     let mut last_barrier: Option<usize> = None;
     let mut last_branch: Option<usize> = None;
@@ -82,8 +82,11 @@ pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, Dep
         }
 
         // Memory: any access orders after every may-aliasing prior store;
-        // a store additionally orders after aliasing loads issued since
-        // the last store.
+        // a store additionally orders after every aliasing pending load,
+        // and retires the loads it covers (it aliases the load, and its
+        // slot is unknown or the load's is known). Every later store that
+        // aliases a retired load aliases the retiring store, so the order
+        // still holds through the store-to-store edge.
         if let Some(m) = inst.mem_ref() {
             for &s in &stores {
                 if m.may_alias(insts[s].mem_ref().expect("stores carry memrefs")) {
@@ -91,11 +94,15 @@ pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, Dep
                 }
             }
             if op.is_store() {
-                for &l in &loads_since_store {
+                for &l in &pending_loads {
                     if m.may_alias(insts[l].mem_ref().expect("loads carry memrefs")) {
                         record(&mut edges, &mut seen, l, i, DepKind::Memory);
                     }
                 }
+                pending_loads.retain(|&l| {
+                    let lm = insts[l].mem_ref().expect("loads carry memrefs");
+                    !(m.may_alias(lm) && (m.slot_id().is_none() || lm.slot_id().is_some()))
+                });
             }
         }
 
@@ -152,9 +159,8 @@ pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, Dep
         }
         if op.is_store() {
             stores.push(i);
-            loads_since_store.clear();
         } else if op.is_load() {
-            loads_since_store.push(i);
+            pending_loads.push(i);
         }
     }
     edges
