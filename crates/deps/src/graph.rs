@@ -674,6 +674,32 @@ mod tests {
         assert_eq!(g.edge_kind(0, 1), Some(DepKind::True));
     }
 
+    /// `f0 = fmul; r<index> = add; f3 = fadd f0, f0`.
+    fn fp_flow_around_gpr(index: u16) -> [Inst; 3] {
+        [
+            Inst::new(Opcode::Fmul).def(Reg::fpr(0)).use_(Reg::fpr(1)).use_(Reg::fpr(2)),
+            add(index, 1, 2),
+            Inst::new(Opcode::Fadd).def(Reg::fpr(3)).use_(Reg::fpr(0)).use_(Reg::fpr(0)),
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_INDEX")]
+    fn register_beyond_max_index_cannot_alias_another_class() {
+        // r1024 and f0 once shared a dense key: the graph had a spurious
+        // 0 -> 1 -> 2 chain and no 0 -> 2 RAW edge. Such a register can
+        // no longer be built.
+        let g = DepGraph::build(&fp_flow_around_gpr(1024));
+        assert_eq!(g.edge_kind(0, 2), Some(DepKind::True), "f0 flows from 0 to 2");
+    }
+
+    #[test]
+    fn register_at_max_index_keeps_its_own_key() {
+        let g = DepGraph::build(&fp_flow_around_gpr(Reg::MAX_INDEX));
+        assert_eq!(g.edge_kind(0, 2), Some(DepKind::True));
+        assert!(!g.has_edge(0, 1) && !g.has_edge(1, 2), "the add is independent of the FP flow");
+    }
+
     #[test]
     fn builder_reuse_across_blocks_is_clean() {
         // Same builder, different blocks: no state may leak between runs.

@@ -58,8 +58,18 @@ pub struct Reg {
 }
 
 impl Reg {
+    /// The largest register index in any class. Indices are bounded so
+    /// that [`Reg::dense_key`] is injective: one more and `r1024` would
+    /// share `f0`'s key.
+    pub const MAX_INDEX: u16 = 1023;
+
     /// Creates a register of the given class and index.
+    ///
+    /// # Panics
+    ///
+    /// When `index` exceeds [`Reg::MAX_INDEX`].
     pub const fn new(class: RegClass, index: u16) -> Reg {
+        assert!(index <= Reg::MAX_INDEX, "register index exceeds Reg::MAX_INDEX");
         Reg { class, index }
     }
 
@@ -105,20 +115,22 @@ impl Reg {
 
     /// A dense key usable for array-indexed register maps.
     ///
-    /// Keys are unique across classes; see [`Reg::dense_limit`].
+    /// Keys are unique across all registers (indices are bounded by
+    /// [`Reg::MAX_INDEX`]) and below [`Reg::dense_limit`].
     pub fn dense_key(self) -> usize {
+        const STRIDE: usize = Reg::MAX_INDEX as usize + 1;
         let base = match self.class {
             RegClass::Gpr => 0,
-            RegClass::Fpr => 1024,
-            RegClass::Cr => 2048,
-            RegClass::Spr => 3072,
+            RegClass::Fpr => STRIDE,
+            RegClass::Cr => 2 * STRIDE,
+            RegClass::Spr => 3 * STRIDE,
         };
         base + self.index as usize
     }
 
     /// Exclusive upper bound on [`Reg::dense_key`] values.
     pub fn dense_limit() -> usize {
-        4096
+        RegClass::ALL.len() * (Reg::MAX_INDEX as usize + 1)
     }
 }
 
@@ -165,6 +177,26 @@ mod tests {
         for r in regs {
             assert!(r.dense_key() < Reg::dense_limit());
         }
+    }
+
+    #[test]
+    fn dense_keys_are_injective_up_to_max_index() {
+        let mut seen = vec![false; Reg::dense_limit()];
+        for class in RegClass::ALL {
+            for index in 0..=Reg::MAX_INDEX {
+                let key = Reg::new(class, index).dense_key();
+                assert!(!seen[key], "{} shares key {key}", Reg::new(class, index));
+                seen[key] = true;
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every key below dense_limit is some register's");
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_INDEX")]
+    fn index_beyond_max_is_rejected() {
+        // r1024 would share f0's dense key.
+        let _ = Reg::gpr(1024);
     }
 
     #[test]

@@ -339,6 +339,9 @@ fn take_reg(cur: &mut BinCursor<'_>, section: &'static str) -> Result<Reg, Binar
     let index = cur.u16(section)?;
     let class =
         *RegClass::ALL.get(class).ok_or_else(|| hostile(section, format!("register class {class} out of range")))?;
+    if index > Reg::MAX_INDEX {
+        return Err(hostile(section, format!("register index {index} exceeds {}", Reg::MAX_INDEX)));
+    }
     Ok(Reg::new(class, index))
 }
 
@@ -608,6 +611,25 @@ mod tests {
         // The wrong kind tag never decodes as the wrong message.
         assert!(decode_response(&good).is_err());
         assert!(decode_batch_request(&encode_response(&Response::Busy { batch_id: 0, queue_depth: 1 })).is_err());
+    }
+
+    #[test]
+    fn register_index_beyond_max_is_rejected() {
+        // r1024 would share f0's dense key in every register table; the
+        // decoder must refuse it rather than hand it to the pipeline.
+        let mut method = Method::new(1, "wide");
+        let inst = Inst::new(Opcode::Li).def(Reg::gpr(Reg::MAX_INDEX)).imm(0);
+        method.push_block(BasicBlock::from_insts(0, vec![inst]));
+        let good = encode_batch_request(1, "b", &[method]);
+        decode_batch_request(&good).expect("the largest index decodes");
+
+        let reg = [class_index(RegClass::Gpr), 0xFF, 0x03];
+        let at: Vec<usize> = good.windows(3).enumerate().filter(|(_, w)| *w == reg).map(|(k, _)| k).collect();
+        assert_eq!(at.len(), 1, "one encoded r1023");
+        let mut wide = good.clone();
+        wide[at[0] + 1..at[0] + 3].copy_from_slice(&1024u16.to_le_bytes());
+        let err = decode_batch_request(&wide).expect_err("r1024");
+        assert!(matches!(err, BinaryTraceError::HostileHeader { .. }), "{err}");
     }
 
     #[test]
