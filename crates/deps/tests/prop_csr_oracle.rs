@@ -161,16 +161,25 @@ impl OracleGraph {
     }
 }
 
+/// Heap slot `slot`, or an undisambiguated heap access for slot 3.
+fn heap(slot: u32) -> MemRef {
+    if slot == 3 {
+        MemRef::unknown(MemSpace::Heap)
+    } else {
+        MemRef::slot(MemSpace::Heap, slot)
+    }
+}
+
 /// Random block generator covering every dependence source: ALU chains,
-/// loads/stores with aliasing slots, FP, hazards, branches and calls
-/// (the barrier machinery the block-scope graphs never exercise matters
-/// for the speculative superblock mode).
+/// loads/stores with aliasing known and unknown slots, FP, hazards,
+/// branches and calls (the barrier machinery the block-scope graphs
+/// never exercise matters for the speculative superblock mode).
 fn arb_insts(max: usize) -> impl Strategy<Value = Vec<Inst>> {
     prop::collection::vec(
-        (0u8..10, 0u16..5, 0u16..5, 0u32..3).prop_map(|(kind, a, b, slot)| match kind {
+        (0u8..10, 0u16..5, 0u16..5, 0u32..4).prop_map(|(kind, a, b, slot)| match kind {
             0 | 1 => Inst::new(Opcode::Add).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            2 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            3 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
+            2 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)).mem(heap(slot)),
+            3 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(heap(slot)),
             4 => Inst::new(Opcode::Fadd).def(Reg::fpr(a + 1)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
             5 => Inst::new(Opcode::NullCheck).use_(Reg::gpr(a)).hazard(Hazards::PEI),
             6 => Inst::new(Opcode::Mr).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)),

@@ -19,6 +19,53 @@ fn arb_insts(max: usize) -> impl Strategy<Value = Vec<Inst>> {
     )
 }
 
+/// Blocks for the semantic property: loads and stores over all three
+/// spaces with known and unknown slots, register traffic in three
+/// classes, and branches as barriers.
+fn arb_mixed_insts(max: usize) -> impl Strategy<Value = Vec<Inst>> {
+    prop::collection::vec(
+        (0u8..8, 0u16..4, 0u16..4, 0usize..3, 0u32..4).prop_map(|(kind, a, b, space, slot)| {
+            let space = [MemSpace::Stack, MemSpace::Heap, MemSpace::Static][space];
+            // Slot 3 stands for an access that was not disambiguated.
+            let mem = if slot == 3 { MemRef::unknown(space) } else { MemRef::slot(space, slot) };
+            match kind {
+                0 | 1 => Inst::new(Opcode::Lwz).def(Reg::gpr(a)).use_(Reg::gpr(b)).mem(mem),
+                2 | 3 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(mem),
+                4 => Inst::new(Opcode::Add).def(Reg::gpr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
+                5 => Inst::new(Opcode::Fadd).def(Reg::fpr(a)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
+                6 => Inst::new(Opcode::Cmp).def(Reg::cr(0)).use_(Reg::gpr(a)).use_(Reg::gpr(b)),
+                _ => Inst::new(Opcode::Bc).use_(Reg::cr(0)),
+            }
+        }),
+        0..max,
+    )
+}
+
+/// True when `a` and a later `b` must keep their order: RAW, WAR or WAW
+/// on one register, or two may-aliasing accesses at least one of which
+/// is a store.
+fn conflict(a: &Inst, b: &Inst) -> bool {
+    let reg = a.defs().iter().any(|d| b.uses().contains(d) || b.defs().contains(d))
+        || a.uses().iter().any(|u| b.defs().contains(u));
+    let mem = match (a.mem_ref(), b.mem_ref()) {
+        (Some(x), Some(y)) => x.may_alias(y) && (a.opcode().is_store() || b.opcode().is_store()),
+        _ => false,
+    };
+    reg || mem
+}
+
+/// `reach[i]` has bit `j` set when the graph has a path `i -> j`.
+fn reachability(g: &DepGraph) -> Vec<u64> {
+    assert!(g.len() <= 64, "bitset reachability covers 64 nodes");
+    let mut reach = vec![0u64; g.len()];
+    for i in (0..g.len()).rev() {
+        for &(s, _) in g.succs(i) {
+            reach[i] |= (1 << s) | reach[s as usize];
+        }
+    }
+    reach
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -80,6 +127,22 @@ proptest! {
             prop_assert!(cp[i] >= m.latency(insts[i].opcode()) as u64);
             for &(s, _) in g.succs(i) {
                 prop_assert!(cp[i] > cp[s as usize], "cp must strictly decrease along an edge");
+            }
+        }
+    }
+
+    /// The meaning of the graph, without re-deriving its edges: every
+    /// pair of instructions whose order matters is joined by a path, in
+    /// both builder modes.
+    #[test]
+    fn every_conflicting_pair_is_joined_by_a_path(insts in arb_mixed_insts(24), spec_bit in 0u8..2) {
+        let g = if spec_bit == 1 { DepGraph::build_speculative(&insts) } else { DepGraph::build(&insts) };
+        let reach = reachability(&g);
+        for i in 0..insts.len() {
+            for j in (i + 1)..insts.len() {
+                if conflict(&insts[i], &insts[j]) {
+                    prop_assert!(reach[i] >> j & 1 == 1, "no path {i} -> {j} in {insts:?}");
+                }
             }
         }
     }
