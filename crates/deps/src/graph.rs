@@ -4,8 +4,9 @@
 //! offset table per direction, so a node's adjacency is a contiguous
 //! slice and traversal touches no per-node heap allocations. Graphs are
 //! produced by a reusable [`GraphBuilder`] whose scratch state — dense
-//! per-register last-def/reader tables and a sort-and-dedup edge pass —
-//! is allocated once and reused across the blocks of a method.
+//! per-register last-def/reader tables, a record-time edge dedup and a
+//! counting scatter into CSR — is allocated once and reused across the
+//! blocks of a method.
 
 use wts_ir::{Inst, Reg};
 
@@ -149,14 +150,13 @@ impl DepGraph {
 /// Sentinel for "no entry" in the dense per-register tables.
 const NONE: u32 = u32::MAX;
 
-/// One recorded (possibly-duplicate) dependence edge; `seq` is the
-/// global record order, used to keep the first kind when deduplicating
-/// and to preserve predecessor discovery order.
+/// One recorded dependence edge. The builder's list holds each pair
+/// once, in record order: ascending target, and discovery order within a
+/// target.
 #[derive(Clone, Copy)]
 struct RawEdge {
     from: u32,
     to: u32,
-    seq: u32,
     kind: DepKind,
 }
 
@@ -183,6 +183,11 @@ struct RawEdge {
 /// ```
 pub struct GraphBuilder {
     edges: Vec<RawEdge>,
+    /// Per source, `to + 1` for the last edge recorded from it this block
+    /// (0: none), so a repeated pair is dropped when it is recorded.
+    last_to: Vec<u32>,
+    /// Per source, the next free successor slot of the CSR scatter.
+    cursor: Vec<u32>,
     /// Current block's epoch; table entries from other epochs are stale.
     epoch: u64,
     /// Per-register index of the last defining instruction.
@@ -207,6 +212,8 @@ impl GraphBuilder {
     pub fn new() -> GraphBuilder {
         GraphBuilder {
             edges: Vec::new(),
+            last_to: Vec::new(),
+            cursor: Vec::new(),
             epoch: 0,
             last_def: Vec::new(),
             readers: Vec::new(),
@@ -249,6 +256,8 @@ impl GraphBuilder {
         let n = insts.len();
         self.epoch += 1;
         self.edges.clear();
+        self.last_to.clear();
+        self.last_to.resize(n, 0);
         self.reader_pool.clear();
         self.stores.clear();
         self.pending_loads.clear();
@@ -399,52 +408,50 @@ impl GraphBuilder {
         }
     }
 
+    /// Records `from -> to` unless the pair already has an edge; the
+    /// first kind recorded wins. Every edge into `to` is recorded while
+    /// scanning `to`, in ascending `to`, so a repeated pair always finds
+    /// its own stamp in `last_to`.
     fn edge(&mut self, from: u32, to: u32, kind: DepKind) {
         debug_assert!(from < to, "dependence edges must follow program order");
-        let seq = u32::try_from(self.edges.len()).expect("edge list outgrew u32 sequence numbers");
-        self.edges.push(RawEdge { from, to, seq, kind });
+        let stamp = &mut self.last_to[from as usize];
+        if *stamp != to + 1 {
+            *stamp = to + 1;
+            self.edges.push(RawEdge { from, to, kind });
+        }
     }
 
-    /// Deduplicates the raw edge list (first kind recorded per pair wins)
-    /// and lays it out as CSR adjacency: successors sorted by target,
-    /// predecessors in discovery order — exactly the orders the old
-    /// nested-Vec representation produced by chronological pushes.
+    /// Lays the deduplicated edge list out as CSR adjacency, with no
+    /// sort: the list is in ascending target order already, so it *is*
+    /// the predecessor array (discovery order within each target), and a
+    /// counting scatter over sources fills each successor slice in
+    /// ascending target order.
     fn finish(&mut self, n: usize, out: &mut DepGraph) {
-        // Chronologically, a fixed source's successors were recorded in
-        // ascending target order (the target is always the instruction
-        // being scanned), so sorting by (from, to, seq) and keeping the
-        // lowest seq per pair reproduces both the successor slice order
-        // and the first-kind-wins dedup of the old hash-set path.
-        self.edges.sort_unstable_by_key(|e| (e.from, e.to, e.seq));
-        self.edges.dedup_by(|b, a| a.from == b.from && a.to == b.to);
-
         out.n = n;
-        out.succ_off.clear();
-        out.succs.clear();
         out.pred_off.clear();
-        out.preds.clear();
-        out.succ_off.resize(n + 1, 0);
         out.pred_off.resize(n + 1, 0);
-
-        out.succs.reserve(self.edges.len());
-        for e in &self.edges {
-            out.succ_off[e.from as usize + 1] += 1;
-            out.succs.push((e.to, e.kind));
-        }
-        for i in 0..n {
-            out.succ_off[i + 1] += out.succ_off[i];
-        }
-
-        // Predecessor slices preserve the order the scan discovered the
-        // edges (not ascending source), matching the old push order.
-        self.edges.sort_unstable_by_key(|e| (e.to, e.seq));
+        out.succ_off.clear();
+        out.succ_off.resize(n + 1, 0);
+        out.preds.clear();
         out.preds.reserve(self.edges.len());
         for e in &self.edges {
             out.pred_off[e.to as usize + 1] += 1;
+            out.succ_off[e.from as usize + 1] += 1;
             out.preds.push((e.from, e.kind));
         }
         for i in 0..n {
             out.pred_off[i + 1] += out.pred_off[i];
+            out.succ_off[i + 1] += out.succ_off[i];
+        }
+
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&out.succ_off[..n]);
+        out.succs.clear();
+        out.succs.resize(self.edges.len(), (0, DepKind::True));
+        for e in &self.edges {
+            let slot = &mut self.cursor[e.from as usize];
+            out.succs[*slot as usize] = (e.to, e.kind);
+            *slot += 1;
         }
         self.last_edges = self.edges.len();
     }

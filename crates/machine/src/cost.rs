@@ -23,10 +23,15 @@ fn is_serializing(op: Opcode) -> bool {
 #[derive(Debug, Clone)]
 pub struct IssueState<'m> {
     machine: &'m MachineConfig,
-    reg_ready: HashMap<Reg, u64>,
+    /// Cycle at which each register's latest value is ready, indexed by
+    /// [`Reg::dense_key`] and grown on demand. 0 means "no bound", which
+    /// is exact because `max(x, 0) == x`.
+    reg_ready: Vec<u64>,
+    /// Keys of `reg_ready` written since the last reset, so a reset
+    /// clears only those.
+    touched: Vec<usize>,
     unit_free: [u64; FunctionalUnit::COUNT],
     store_done: Vec<(MemRef, u64)>,
-    load_issued: Vec<(MemRef, u64)>,
     barrier_floor: u64,
     max_completion: u64,
     last_issue: u64,
@@ -40,10 +45,10 @@ impl<'m> IssueState<'m> {
     pub fn new(machine: &'m MachineConfig) -> IssueState<'m> {
         IssueState {
             machine,
-            reg_ready: HashMap::new(),
+            reg_ready: Vec::new(),
+            touched: Vec::new(),
             unit_free: [0; FunctionalUnit::COUNT],
             store_done: Vec::new(),
-            load_issued: Vec::new(),
             barrier_floor: 0,
             max_completion: 0,
             last_issue: 0,
@@ -62,10 +67,12 @@ impl<'m> IssueState<'m> {
     /// dropping container capacity, so a long-lived state can be reused
     /// across blocks with no steady-state allocation.
     pub fn reset(&mut self) {
-        self.reg_ready.clear();
+        for &key in &self.touched {
+            self.reg_ready[key] = 0;
+        }
+        self.touched.clear();
         self.unit_free = [0; FunctionalUnit::COUNT];
         self.store_done.clear();
-        self.load_issued.clear();
         self.barrier_floor = 0;
         self.max_completion = 0;
         self.last_issue = 0;
@@ -87,10 +94,14 @@ impl<'m> IssueState<'m> {
 
     /// Cycle when `inst`'s data and ordering constraints are satisfied
     /// (not yet accounting for issue slots or functional units).
+    ///
+    /// A store needs no term for earlier aliasing loads: issue is in
+    /// order, so they all issued at or before `last_issue`, where the
+    /// slot search starts.
     fn ready_cycle(&self, inst: &Inst) -> u64 {
         let mut ready = self.barrier_floor;
         for u in inst.uses() {
-            if let Some(&t) = self.reg_ready.get(u) {
+            if let Some(&t) = self.reg_ready.get(u.dense_key()) {
                 ready = ready.max(t);
             }
         }
@@ -99,13 +110,6 @@ impl<'m> IssueState<'m> {
             for &(w, done) in &self.store_done {
                 if m.may_alias(w) {
                     ready = ready.max(done);
-                }
-            }
-            if op.is_store() {
-                for &(r, issued) in &self.load_issued {
-                    if m.may_alias(r) {
-                        ready = ready.max(issued);
-                    }
                 }
             }
         }
@@ -164,14 +168,18 @@ impl<'m> IssueState<'m> {
         let done = c + lat;
         self.max_completion = self.max_completion.max(done);
         for &d in inst.defs() {
-            self.reg_ready.insert(d, done);
+            let key = d.dense_key();
+            if key >= self.reg_ready.len() {
+                self.reg_ready.resize(key + 1, 0);
+            }
+            if self.reg_ready[key] == 0 {
+                self.touched.push(key);
+            }
+            self.reg_ready[key] = done;
         }
         if let Some(m) = inst.mem_ref() {
             if op.is_store() {
                 self.store_done.push((m, done));
-                self.load_issued.clear();
-            } else {
-                self.load_issued.push((m, c));
             }
         }
         if is_serializing(op) {
