@@ -3,13 +3,15 @@
 //!
 //! The dependence graph moved from per-node `Vec<Vec<(u32, DepKind)>>`
 //! adjacency (hash-set dedup, `readers.clone()` in the scan) to flat CSR
-//! arrays built by a reusable sort-and-dedup [`GraphBuilder`]. Every
+//! arrays built by a reusable, sort-free [`GraphBuilder`]. Every
 //! consumer — most critically the list scheduler's ready-queue insertion
 //! under [`SchedulePolicy::Random`](wts_sched::SchedulePolicy) — relies
 //! on the *slice orders* being unchanged, not just the edge sets. This
 //! suite keeps a faithful reimplementation of the old builder and checks
 //! the new graph against it edge for edge, slice for slice, on random
-//! blocks, in both normal and speculative mode.
+//! blocks, in both normal and speculative mode. The reimplementation
+//! carries one later rule change: a store retires only the pending loads
+//! it covers, where the old builder cleared them all.
 
 use proptest::prelude::*;
 use std::collections::HashMap;

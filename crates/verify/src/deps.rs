@@ -5,7 +5,7 @@
 //! instruction's def/use/memref sets and the barrier rules documented in
 //! `wts-deps` — using deliberately naive data structures (hash maps and
 //! growable vectors, no dense tables, no epoch reuse, no CSR packing, no
-//! sort-dedup). [`check_dependences`] then demands that the production
+//! stamp dedup). [`check_dependences`] then demands that the production
 //! [`DepGraph`] has *exactly* the oracle's edges: a missing edge is an
 //! unsoundness error (an illegal reordering would go undetected), an
 //! extra edge is a lost-parallelism warning, and a kind disagreement is a
@@ -34,7 +34,7 @@ fn kind_name(kind: DepKind) -> &'static str {
 /// Edges are returned as `(from, to, kind)` with `from < to`, in the
 /// chronological order they are first established — when two rules
 /// produce an edge between the same pair, the first kind wins, matching
-/// the graph builder's sort-dedup contract.
+/// the graph builder's dedup contract.
 pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, DepKind)> {
     let mut edges: Vec<(usize, usize, DepKind)> = Vec::new();
     let mut seen: HashSet<(usize, usize)> = HashSet::new();
